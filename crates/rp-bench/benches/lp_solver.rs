@@ -70,8 +70,7 @@ fn bench_simplex_on_formulations(c: &mut Criterion) {
 
 /// The headline comparison: dense tableau vs revised simplex on the
 /// same Multiple-relaxation models, plus the warm-started revised
-/// branch-and-bound for the mixed bound. The `baseline` binary's
-/// `BENCH_revised.json` tracks the same ratios outside criterion.
+/// branch-and-bound for the mixed bound.
 fn bench_lp_revised(c: &mut Criterion) {
     let mut group = c.benchmark_group("lp_revised");
     group.sample_size(10);
@@ -114,8 +113,7 @@ fn bench_lp_revised(c: &mut Criterion) {
 /// The sparse-factorisation subsystem: cold solves under devex vs
 /// Dantzig pricing, the warm sibling re-solve fast path, and the
 /// hyper-sparse unit FTRAN/BTRAN plus one Markowitz refactorisation on
-/// a solved paper-scale basis. `BENCH_sparse.json` (baseline binary)
-/// tracks the same quantities outside criterion.
+/// a solved paper-scale basis.
 fn bench_sparse_lu(c: &mut Criterion) {
     use rp_lp::Pricing;
 

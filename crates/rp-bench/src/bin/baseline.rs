@@ -1,613 +1,528 @@
-//! Quick-mode performance baseline: times the hot paths the sweep
-//! exercises and writes a machine-readable `BENCH_baseline.json` so the
-//! perf trajectory can be tracked across PRs.
+//! The gate table, the obs-diff attribution tool and the
+//! `BENCH_obs.json` reference snapshot.
 //!
 //! ```text
-//! cargo run --release -p rp-bench --bin baseline -- [OUTPUT.json] [--compare OLD.json]
-//! cargo run --release -p rp-bench --bin baseline -- --smoke-revised
-//! cargo run --release -p rp-bench --bin baseline -- --smoke-heuristics
-//! cargo run --release -p rp-bench --bin baseline -- --smoke-failures
-//! cargo run --release -p rp-bench --bin baseline -- --smoke-online
-//! cargo run --release -p rp-bench --bin baseline -- --smoke-obs
-//! cargo run --release -p rp-bench --bin baseline -- --smoke-pricing
-//! cargo run --release -p rp-bench --bin baseline -- --check-budget [perf-budget.toml]
-//! cargo run --release -p rp-bench --bin baseline -- [--obs-out OUT.json] --obs-only
-//! cargo run --release -p rp-bench --bin baseline -- [--sparse-out OUT.json] --sparse-only
-//! cargo run --release -p rp-bench --bin baseline -- [--heuristics-out OUT.json] --heuristics-only
-//! cargo run --release -p rp-bench --bin baseline -- [--failures-out OUT.json] --failures-only
-//! cargo run --release -p rp-bench --bin baseline -- [--online-out OUT.json] --online-only
-//! cargo run --release -p rp-bench --bin baseline -- [--pricing-out OUT.json] --pricing-only
+//! cargo run --release -p rp-bench --bin baseline -- --check-budget [perf-budget.toml] [section]
+//! cargo run --release -p rp-bench --bin baseline -- --obs-diff OLD.json [NEW.json]
+//! cargo run --release -p rp-bench --bin baseline -- --obs-out [BENCH_obs.json]
 //! ```
 //!
-//! Metrics (all medians over several samples):
+//! `--check-budget` runs every row of [`ROWS`] (or the rows of one
+//! `[section]`) and compares each row's median with its ceiling — or,
+//! for a `_min` key, its floor — in `perf-budget.toml`. Every repeat
+//! also asserts the row's correctness conditions; a breach or a failed
+//! condition fails the run and leaves the `obs-breach.*` attribution
+//! artifacts behind (see [`check_budget`]). The budget file and the
+//! table must name the same rows, or the gate refuses to run.
 //!
-//! * `heuristic/<name>/<platform>/<size>` — ns per full heuristic run;
-//! * `full_sweep/<platform>/<size>` — ns for MixedBest (all eight
-//!   heuristics on one instance), the paper's per-tree unit of work;
-//! * `allocs/...` — heap allocations per run (counted by a wrapping
-//!   global allocator; warm caches, so steady-state numbers);
-//!   `allocs/full_sweep_pooled/*` measures the pooled
-//!   `MixedBest::full_sweep` driver the parallel sweep pins per worker;
-//! * `ancestors_pass/<size>` — ns to walk every client's ancestor path;
-//! * `ancestor_check_pass/<size>` — ns for all-pairs `node_is_ancestor_or_self`;
-//! * `lp_rational_bound/<size>` — ns for the Section 7.1 LP lower bound
-//!   (on the default — revised — engine);
-//! * `milp_mixed_bound/<size>` — ns for the capped mixed bound;
-//! * `sweep_smoke_ms` — wall-clock ms for the smoke-test sweep;
-//! * `sweep_trees_per_sec` — sweep throughput derived from it.
-//!
-//! The run **also** writes `BENCH_revised.json`: dense-tableau vs
-//! revised-simplex timings per LP-bound size with the speedup ratio,
-//! plus the paper-scale `s = 400` revised-engine bound time that the
-//! dense engine cannot reach in reasonable time — and
-//! `BENCH_sparse.json`: the sparse-LU / Forrest–Tomlin / devex
-//! trajectory (factor nnz scaling, FTRAN/BTRAN and refactorisation
-//! timings, devex vs Dantzig iteration counts, warm sibling re-solves,
-//! and the `s = 2000` multi-thousand-row scenario; see
-//! [`write_sparse_report`]).
-//!
-//! `--smoke-revised` is the CI mode: it solves one `s = 400`
-//! paper-scale LP bound with the revised engine, prints the timing and
-//! exits non-zero if the solve did not produce a bound.
-//! `--smoke-failures` is its fault-tolerance sibling: one seeded node
-//! failure and one seeded link failure on a paper-scale placement, each
-//! repaired within `RP_SMOKE_FAIL_MS` with a machine-checked outcome.
-//! `--smoke-online` drives the full 2000-delta churn sweep through the
-//! online `PlacementEngine` per policy at
-//! `s = 400` and requires every incumbent to pass its machine check
-//! within the `RP_SMOKE_ONLINE_MS` wall budget (see [`smoke_online`]).
-//! The full run also writes `BENCH_failures.json`: the 200-trial
-//! resilience sweep (survival / degradation / repair latency per
-//! heuristic; see [`write_failures_report`]) — `BENCH_online.json`: the
-//! `s = 2000` churn trajectory (re-placements/sec, apply-latency
-//! percentiles and rung counters per policy; see
-//! [`write_online_report`]) — and `BENCH_obs.json`:
-//! the full metrics-registry snapshot of an instrumented representative
-//! workload (see [`write_obs_report`]) — and `BENCH_pricing.json`: the
-//! per-rule pricing trajectory (cold and warm ms / iterations / bound
-//! flips at `s = 400` and `s = 2000`; see [`write_pricing_report`]).
-//! `--smoke-obs` gates the telemetry layer itself, `--smoke-pricing`
-//! gates the pricing machinery (dense-oracle agreement across rules +
-//! the `s = 2000` bound under `RP_SMOKE_PRICE_MS`), and
-//! `--check-budget` enforces the pinned ceilings of `perf-budget.toml`
-//! (see [`smoke_obs`] / [`smoke_pricing`] / [`check_budget`]).
-//!
-//! With `--compare OLD.json` the output also contains a `speedup`
-//! section: `old / new` per metric shared with the old file.
+//! `--obs-diff` ranks the metrics that moved between two metrics-JSON
+//! snapshots (or between one snapshot and a fresh run of the reference
+//! workload); `--obs-out` writes that workload's snapshot, the
+//! checked-in `BENCH_obs.json` the gate's attribution diffs against.
+//! Steady throughput and latency are measured by `perfbench/`.
 
-#![allow(clippy::disallowed_methods)] // test/driver code may unwrap freely
+#![allow(clippy::disallowed_methods)] // a measurement binary may unwrap freely
 
-use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::OnceCell;
 use std::hint::black_box;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use rp_bench::{bench_instance, MICRO_SIZES};
-use rp_core::heuristics::HeuristicState;
-use rp_core::ilp::{lower_bound, lower_bound_with, BoundKind, IlpOptions};
-use rp_core::{Heuristic, MixedBest};
+use rp_core::heuristics::lp_guided::{lp_guided_multi_with, lp_guided_with};
+use rp_core::ilp::{build_model, lower_bound, BoundKind, IlpOptions, Integrality};
+use rp_core::multi::{solve_multi_ilp_with, MultiObjectProblem};
+use rp_core::{inject_and_repair, FailureEvent, Heuristic, Placement, Policy, ProblemInstance};
+use rp_experiments::churn::{run_churn, ChurnRunConfig};
 use rp_experiments::runner::{run_sweep, ExperimentConfig};
-use rp_lp::{BranchBoundOptions, LpEngine};
+use rp_lp::{
+    solve_lp, solve_lp_hardened, solve_lp_revised_reusing, DualPricing, LpEngine, LpWorkspace,
+    Model, Pricing, RevisedWorkspace, Scaling, SimplexOptions, Status,
+};
+use rp_obs::{Counter, Gauge, HistId, ObsMode};
+use rp_workloads::failures::{sample_link_failure, sample_node_failure};
 use rp_workloads::platform::{paper_scale_instance, PlatformKind};
+use rp_workloads::scenarios::{
+    bandwidth_scale_instance, feasible_bandwidth_instance, ill_scaled_bandwidth_instance,
+    multi_object_counting_instance,
+};
 
-/// Counts every heap allocation so the "allocation-free inner loop"
-/// claim is verified by measurement, not by inspection.
-struct CountingAllocator;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
+/// One gate: a measurement, how many times to repeat it, and the
+/// observation mode it runs under. Its bound is `[section] key` in
+/// `perf-budget.toml`: a ceiling, or a floor when the key ends in
+/// `_min`. The row's statistic is the median of its repeats.
+struct Row {
+    section: &'static str,
+    key: &'static str,
+    repeats: usize,
+    mode: ObsMode,
+    /// One sample, or the correctness condition that failed.
+    measure: fn(&Instances) -> Result<f64, String>,
 }
 
-#[global_allocator]
-static GLOBAL: CountingAllocator = CountingAllocator;
+/// The gate table. Rows run in this order; cheap sections come first so
+/// a breach there shows before the long pricing and churn rows.
+#[rustfmt::skip]
+const ROWS: &[Row] = &[
+    Row { section: "lp", key: "s400_bound_ms", repeats: 7, mode: ObsMode::Counters, measure: s400_bound_ms },
+    Row { section: "lp", key: "s2000_bound_ms", repeats: 5, mode: ObsMode::Counters, measure: s2000_bound_ms },
+    Row { section: "lp", key: "s2000_iterations_max", repeats: 1, mode: ObsMode::Counters, measure: s2000_iterations },
+    Row { section: "lp", key: "s120_ill_scaled_ms", repeats: 5, mode: ObsMode::Off, measure: s120_ill_scaled_ms },
+    Row { section: "warm", key: "warm_hit_rate_min", repeats: 3, mode: ObsMode::Counters, measure: warm_hit_rate },
+    Row { section: "hardened", key: "hardened_dense_fallbacks_max", repeats: 3, mode: ObsMode::Counters, measure: hardened_dense_fallbacks },
+    Row { section: "obs", key: "obs_phase_coverage_min", repeats: 3, mode: ObsMode::Counters, measure: s2000_phase_coverage },
+    Row { section: "obs", key: "s400_full_phase_coverage_min", repeats: 3, mode: ObsMode::Full, measure: s400_full_phase_coverage },
+    Row { section: "heuristics", key: "lp_guided_s120_gap_pct_max", repeats: 1, mode: ObsMode::Off, measure: |i| Ok(lp_guided_s120(i)?.1) },
+    Row { section: "heuristics", key: "lp_guided_s120_ms", repeats: 5, mode: ObsMode::Off, measure: |i| Ok(lp_guided_s120(i)?.0) },
+    Row { section: "heuristics", key: "lp_guided_2obj_gap_pct_max", repeats: 1, mode: ObsMode::Off, measure: |i| Ok(lp_guided_2obj(i)?.1) },
+    Row { section: "heuristics", key: "lp_guided_2obj_ms", repeats: 5, mode: ObsMode::Off, measure: |i| Ok(lp_guided_2obj(i)?.0) },
+    Row { section: "failures", key: "node_repair_ms", repeats: 5, mode: ObsMode::Off, measure: |i| repair_ms(i, sample_node_failure) },
+    Row { section: "failures", key: "link_repair_ms", repeats: 5, mode: ObsMode::Off, measure: |i| repair_ms(i, sample_link_failure) },
+    Row { section: "pricing", key: "s400_rule_pairs_ms", repeats: 3, mode: ObsMode::Off, measure: s400_rule_pairs_ms },
+    Row { section: "online", key: "churn_s400_ms", repeats: 1, mode: ObsMode::Off, measure: churn_s400_ms },
+];
 
-fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
-}
-
-/// Median ns/op of `f`, sampled adaptively within a small time budget.
-fn time_ns<F: FnMut()>(mut f: F) -> f64 {
-    // Warm up and estimate.
-    let start = Instant::now();
-    let mut iters = 0u64;
-    while start.elapsed() < Duration::from_millis(20) {
-        f();
-        iters += 1;
-    }
-    let per_iter = start.elapsed().as_nanos() as f64 / iters as f64;
-    let batch = ((8_000_000.0 / per_iter.max(1.0)).ceil() as u64).max(1);
-    let mut samples = Vec::with_capacity(7);
-    for _ in 0..7 {
-        let t = Instant::now();
-        for _ in 0..batch {
-            f();
+impl Row {
+    /// Runs the row's repeats, each on a freshly reset registry, and
+    /// returns the sorted samples — or the first failed condition.
+    fn samples(&self, instances: &Instances) -> Result<Vec<f64>, String> {
+        let mut samples = Vec::with_capacity(self.repeats);
+        for _ in 0..self.repeats {
+            rp_obs::set_mode(self.mode);
+            rp_obs::reset_all();
+            samples.push((self.measure)(instances)?);
         }
-        samples.push(t.elapsed().as_nanos() as f64 / batch as f64);
+        samples.sort_by(f64::total_cmp);
+        Ok(samples)
     }
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
 }
 
-/// Allocations per call of `f` in the steady state (after warm-up).
-fn allocs_per_call<F: FnMut()>(mut f: F) -> f64 {
-    for _ in 0..3 {
-        f(); // warm any lazily grown buffers
-    }
-    const CALLS: u64 = 10;
-    let before = allocations();
-    for _ in 0..CALLS {
-        f();
-    }
-    (allocations() - before) as f64 / CALLS as f64
-}
+/// Relative objective tolerance against the dense-tableau oracle.
+const ORACLE_TOL: f64 = 1e-4;
 
-/// Times a **single** invocation of `f` (no sampling, no median —
-/// used for the long paper-scale solves), returning (ns, result).
-fn time_once<R>(mut f: impl FnMut() -> R) -> (f64, R) {
+/// Wall-clock ms of one call of `f`, with its result.
+fn timed<R>(f: impl FnOnce() -> R) -> (f64, R) {
     let start = Instant::now();
     let result = f();
-    (start.elapsed().as_nanos() as f64, result)
+    (start.elapsed().as_secs_f64() * 1e3, result)
 }
 
-/// The CI smoke check: one paper-scale (`s = 400`) LP lower bound on
-/// the revised engine. Solves the relaxation directly and asserts
-/// `Status::Optimal` — going through `lower_bound_with` would mask an
-/// iteration-limited or failed solve as the always-valid bound `0.0`.
-/// The sparse-LU engine must also stay within the `RP_SMOKE_MS` wall
-/// budget (default 25 ms — generous against the ~5 ms it takes on a
-/// quiet machine, tight against the ~250 ms the dense tableau needs)
-/// and agree with the dense oracle's objective.
-fn smoke_revised() {
-    use rp_core::ilp::{build_model, Integrality};
-    use rp_core::Policy;
-    use rp_lp::{solve_lp, solve_lp_revised, Status};
-
-    let problem = paper_scale_instance(PlatformKind::default_heterogeneous(), 0.4, 31);
-    let formulation = build_model(&problem, Policy::Multiple, Integrality::RationalBound);
-    let (ns, solution) = time_once(|| solve_lp_revised(&formulation.model));
-    if solution.status != Status::Optimal || !solution.objective.is_finite() {
-        eprintln!(
-            "s=400 revised lp_rational_bound FAILED: status {}, objective {}",
-            solution.status, solution.objective
-        );
-        std::process::exit(1);
-    }
-    let budget_ms: f64 = std::env::var("RP_SMOKE_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(25.0);
-    if ns / 1e6 > budget_ms {
-        eprintln!(
-            "s=400 revised lp_rational_bound REGRESSED: {:.1} ms exceeds the {budget_ms} ms budget",
-            ns / 1e6
-        );
-        std::process::exit(1);
-    }
-    let dense = solve_lp(&formulation.model);
-    if dense.status != Status::Optimal
-        || (dense.objective - solution.objective).abs() > 1e-4 * solution.objective.abs().max(1.0)
-    {
-        eprintln!(
-            "s=400 engines disagree: revised {} vs dense oracle {} ({})",
-            solution.objective, dense.objective, dense.status
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "s=400 revised lp_rational_bound = {:.3} in {:.1} ms (dense oracle agrees: {:.3})",
-        solution.objective,
-        ns / 1e6,
-        dense.objective
-    );
+/// The rational-bound LP of a gate instance; its dense-tableau oracle
+/// objective is solved on first use.
+struct Lp {
+    name: &'static str,
+    model: Model,
+    oracle: OnceCell<Result<f64, String>>,
 }
 
-/// The ill-scaled bandwidth CI smoke: two checks back to back.
-///
-/// 1. A small (`s = 120`) **ill-scaled bandwidth-constrained** LP —
-///    wide-range capacities spanning five decades plus per-link
-///    bandwidth rows — must solve on the revised engine with the
-///    equilibration pass forced on (its ~2e5 spread sits below the
-///    `Auto` threshold, so the smoke pins the scaled path explicitly)
-///    *and* agree with the dense-tableau oracle's objective.
-/// 2. The `s = 2000`-class bandwidth instance (multi-thousand rows once
-///    the flow recurrences materialise) must solve with the revised
-///    engine inside the `RP_SMOKE_BW_MS` wall budget; the dense oracle
-///    is structurally unable to reach this scale, which is the point of
-///    the sparse core.
-fn smoke_bandwidth() {
-    use rp_core::ilp::{build_model, Integrality};
-    use rp_core::Policy;
-    use rp_lp::{
-        solve_lp, solve_lp_revised_reusing, RevisedWorkspace, Scaling, SimplexOptions, Status,
-    };
-    use rp_workloads::scenarios::{bandwidth_scale_instance, ill_scaled_bandwidth_instance};
+/// One timed cold solve; the workspace holds its statistics.
+struct Solve {
+    ms: f64,
+    objective: f64,
+    workspace: RevisedWorkspace,
+}
 
-    let mut workspace = RevisedWorkspace::new();
-    let options = SimplexOptions::default();
+impl Lp {
+    fn new(name: &'static str, problem: &ProblemInstance) -> Self {
+        Lp {
+            name,
+            model: build_model(problem, Policy::Multiple, Integrality::RationalBound).model,
+            oracle: OnceCell::new(),
+        }
+    }
 
-    // --- Dense-oracle agreement on the small ill-scaled instance, with
-    // the equilibration pass forced on so the scaled code path stays
-    // exercised now that `Auto` leaves ~2e5 spreads alone. ---
-    let scaled_options = SimplexOptions {
+    /// Solves cold on a fresh revised workspace, failing unless the
+    /// solve ends `Optimal` with a finite objective. Solving the model
+    /// directly matters: `lower_bound_with` would mask a failed solve as
+    /// the always-valid bound `0.0`.
+    fn solve(&self, options: &SimplexOptions) -> Result<Solve, String> {
+        let mut workspace = RevisedWorkspace::new();
+        let (ms, solution) =
+            timed(|| solve_lp_revised_reusing(&self.model, options, &mut workspace));
+        if solution.status != Status::Optimal || !solution.objective.is_finite() {
+            return Err(format!(
+                "{} solve ended {} (objective {})",
+                self.name, solution.status, solution.objective
+            ));
+        }
+        Ok(Solve {
+            ms,
+            objective: solution.objective,
+            workspace,
+        })
+    }
+
+    /// Fails unless `objective` agrees with the dense oracle's.
+    fn check_oracle(&self, objective: f64) -> Result<(), String> {
+        let dense = self
+            .oracle
+            .get_or_init(|| {
+                let dense = solve_lp(&self.model);
+                (dense.status == Status::Optimal)
+                    .then_some(dense.objective)
+                    .ok_or_else(|| format!("{} dense oracle ended {}", self.name, dense.status))
+            })
+            .clone()?;
+        if (objective - dense).abs() > ORACLE_TOL * dense.abs().max(1.0) {
+            return Err(format!(
+                "{}: revised objective {objective} disagrees with the dense oracle's {dense}",
+                self.name
+            ));
+        }
+        Ok(())
+    }
+}
+
+/// The gate instances, each built on first use and shared by every row
+/// that measures it.
+#[derive(Default)]
+struct Instances {
+    paper_400: OnceCell<ProblemInstance>,
+    paper_400_lp: OnceCell<Lp>,
+    paper_400_placement: OnceCell<Option<Placement>>,
+    bandwidth_2000: OnceCell<Lp>,
+    feasible_120: OnceCell<ProblemInstance>,
+    feasible_120_lp: OnceCell<Lp>,
+    feasible_120_bound: OnceCell<Option<f64>>,
+    feasible_400: OnceCell<Lp>,
+    ill_scaled_120: OnceCell<Lp>,
+    counting_2obj: OnceCell<MultiObjectProblem>,
+    counting_2obj_exact: OnceCell<Option<u64>>,
+}
+
+impl Instances {
+    /// The paper-scale (`s = 400`) heterogeneous instance.
+    fn paper_400(&self) -> &ProblemInstance {
+        self.paper_400
+            .get_or_init(|| paper_scale_instance(PlatformKind::default_heterogeneous(), 0.4, 31))
+    }
+
+    fn paper_400_lp(&self) -> &Lp {
+        self.paper_400_lp
+            .get_or_init(|| Lp::new("s=400 paper-scale bound", self.paper_400()))
+    }
+
+    /// MixedBest's placement on the healthy paper-scale instance.
+    fn paper_400_placement(&self) -> Result<&Placement, String> {
+        self.paper_400_placement
+            .get_or_init(|| Heuristic::MixedBest.run(self.paper_400()))
+            .as_ref()
+            .ok_or_else(|| "MixedBest found no placement on the healthy s=400 instance".into())
+    }
+
+    /// The `s = 2000`-class bandwidth bound (13k rows x 20k cols), far
+    /// beyond the dense oracle's reach.
+    fn bandwidth_2000(&self) -> &Lp {
+        self.bandwidth_2000
+            .get_or_init(|| Lp::new("s=2000 bandwidth bound", &bandwidth_scale_instance(0.2, 31)))
+    }
+
+    fn feasible_120(&self) -> &ProblemInstance {
+        self.feasible_120
+            .get_or_init(|| feasible_bandwidth_instance(120, 0.4, 31))
+    }
+
+    fn feasible_120_lp(&self) -> &Lp {
+        self.feasible_120_lp
+            .get_or_init(|| Lp::new("s=120 feasible bandwidth bound", self.feasible_120()))
+    }
+
+    fn feasible_120_bound(&self) -> Result<f64, String> {
+        self.feasible_120_bound
+            .get_or_init(|| lower_bound(self.feasible_120(), BoundKind::Rational))
+            .ok_or_else(|| "the s=120 feasible bandwidth LP bound failed".into())
+    }
+
+    fn feasible_400(&self) -> &Lp {
+        self.feasible_400.get_or_init(|| {
+            Lp::new(
+                "s=400 feasible bandwidth bound",
+                &feasible_bandwidth_instance(400, 0.4, 31),
+            )
+        })
+    }
+
+    /// Wide-range capacities spanning five decades plus per-link
+    /// bandwidth rows.
+    fn ill_scaled_120(&self) -> &Lp {
+        self.ill_scaled_120.get_or_init(|| {
+            Lp::new(
+                "s=120 ill-scaled bandwidth bound",
+                &ill_scaled_bandwidth_instance(120, 0.4, 31),
+            )
+        })
+    }
+
+    fn counting_2obj(&self) -> &MultiObjectProblem {
+        self.counting_2obj
+            .get_or_init(|| multi_object_counting_instance(40, 2, 0.4, 11))
+    }
+
+    /// The exact multi-object ILP optimum of [`Self::counting_2obj`].
+    fn counting_2obj_exact(&self) -> Result<u64, String> {
+        self.counting_2obj_exact
+            .get_or_init(|| {
+                let mut options = IlpOptions::with_engine(LpEngine::Revised);
+                options.branch_bound.max_nodes = 500_000;
+                let problem = self.counting_2obj();
+                solve_multi_ilp_with(problem, &options).map(|p| p.cost(problem))
+            })
+            .ok_or_else(|| "the 2-object exact reference solve failed".into())
+    }
+}
+
+/// Cold `s = 400` paper-scale bound solve, wall ms; every solve
+/// must agree with the dense oracle.
+fn s400_bound_ms(instances: &Instances) -> Result<f64, String> {
+    let lp = instances.paper_400_lp();
+    let solve = lp.solve(&SimplexOptions::default())?;
+    lp.check_oracle(solve.objective)?;
+    Ok(solve.ms)
+}
+
+/// Cold `s = 2000` bandwidth bound solve under the default pricing
+/// rules, wall ms.
+fn s2000_bound_ms(instances: &Instances) -> Result<f64, String> {
+    Ok(instances
+        .bandwidth_2000()
+        .solve(&SimplexOptions::default())?
+        .ms)
+}
+
+/// Simplex iterations of the cold `s = 2000` bandwidth bound solve.
+fn s2000_iterations(instances: &Instances) -> Result<f64, String> {
+    let solve = instances
+        .bandwidth_2000()
+        .solve(&SimplexOptions::default())?;
+    Ok(solve.workspace.last_stats().iterations() as f64)
+}
+
+/// Cold `s = 120` ill-scaled bandwidth bound solve with the
+/// equilibration pass forced on, wall ms. The instance's ~2e5 entry
+/// spread sits below the `Auto` threshold, so the row pins the scaled
+/// path explicitly: the pass must run and the answer must agree with
+/// the dense oracle.
+fn s120_ill_scaled_ms(instances: &Instances) -> Result<f64, String> {
+    let lp = instances.ill_scaled_120();
+    let options = SimplexOptions {
         scaling: Scaling::Geometric,
         ..SimplexOptions::default()
     };
-    let small = ill_scaled_bandwidth_instance(120, 0.4, 31);
-    let formulation = build_model(&small, Policy::Multiple, Integrality::RationalBound);
-    let revised = solve_lp_revised_reusing(&formulation.model, &scaled_options, &mut workspace);
-    if revised.status != Status::Optimal || !revised.objective.is_finite() {
-        eprintln!(
-            "s=120 ill-scaled bandwidth bound FAILED: status {}, objective {}",
-            revised.status, revised.objective
-        );
-        std::process::exit(1);
+    let solve = lp.solve(&options)?;
+    if solve.workspace.scaling_spread().is_none() {
+        return Err(format!("{} skipped the equilibration pass", lp.name));
     }
-    let spread = workspace.scaling_spread();
-    if spread.is_none() {
-        eprintln!("s=120 ill-scaled bandwidth bound did not trigger the equilibration pass");
-        std::process::exit(1);
-    }
-    let dense = solve_lp(&formulation.model);
-    if dense.status != Status::Optimal
-        || (dense.objective - revised.objective).abs() > 1e-4 * revised.objective.abs().max(1.0)
-    {
-        eprintln!(
-            "s=120 ill-scaled engines disagree: revised {} vs dense oracle {} ({})",
-            revised.objective, dense.objective, dense.status
-        );
-        std::process::exit(1);
-    }
-    let (before, after) = spread.unwrap();
-    println!(
-        "s=120 ill-scaled bandwidth bound = {:.3} (dense oracle agrees: {:.3}; entry spread {:.1e} -> {:.1e})",
-        revised.objective, dense.objective, before, after
-    );
-
-    // --- The s = 2000 class within the wall budget. ---
-    let problem = bandwidth_scale_instance(0.2, 31);
-    workspace.invalidate();
-    let formulation = build_model(&problem, Policy::Multiple, Integrality::RationalBound);
-    let (ns, solution) =
-        time_once(|| solve_lp_revised_reusing(&formulation.model, &options, &mut workspace));
-    if solution.status != Status::Optimal || !solution.objective.is_finite() {
-        eprintln!(
-            "s=2000 bandwidth bound FAILED: status {}, objective {}",
-            solution.status, solution.objective
-        );
-        std::process::exit(1);
-    }
-    let budget_ms: f64 = std::env::var("RP_SMOKE_BW_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(3000.0);
-    if ns / 1e6 > budget_ms {
-        eprintln!(
-            "s=2000 bandwidth bound REGRESSED: {:.1} ms exceeds the {budget_ms} ms budget",
-            ns / 1e6
-        );
-        std::process::exit(1);
-    }
-    let stats = workspace.last_stats();
-    println!(
-        "s=2000 bandwidth bound = {:.3} in {:.1} ms ({} rows x {} cols, {} iterations)",
-        solution.objective,
-        ns / 1e6,
-        formulation.model.num_constraints(),
-        formulation.model.num_vars(),
-        stats.iterations()
-    );
-    println!(
-        "  pivots: phase1 {} phase2 {} dual {} | flips: primal {} dual {} | queue: hits {} rebuilds {} | devex resets {}",
-        stats.phase1_pivots,
-        stats.phase2_pivots(),
-        stats.dual_pivots,
-        stats.bound_flips,
-        stats.dual_bound_flips,
-        stats.queue_hits,
-        stats.queue_rebuilds,
-        stats.devex_resets
-    );
+    lp.check_oracle(solve.objective)?;
+    Ok(solve.ms)
 }
 
-/// The pricing-machinery CI smoke (PR 9): two checks back to back.
-///
-/// 1. Every pricing pair — candidate-queue partial, devex and Dantzig
-///    on the primal side, dual devex and most-violated-row on the dual
-///    side — must reach `Status::Optimal` on the paper-scale
-///    (`s = 400`) bound and agree with the dense-tableau oracle's
-///    objective. A pricing rule only reorders pivots; a rule that
-///    changes the answer is broken.
-/// 2. The `s = 2000` bandwidth bound under the **default** rules
-///    (partial pricing + dual devex + the bound-flipping ratio test)
-///    must land inside the pinned `RP_SMOKE_PRICE_MS` wall budget
-///    (default 500 ms — generous against the ~45 ms on a quiet
-///    machine, far below the ~700 ms the pre-PR-9 engine needed).
-fn smoke_pricing() {
-    use rp_core::ilp::{build_model, Integrality};
-    use rp_core::Policy;
-    use rp_lp::{
-        solve_lp, solve_lp_revised_reusing, DualPricing, Pricing, RevisedWorkspace, SimplexOptions,
-        Status,
-    };
-    use rp_workloads::scenarios::{bandwidth_scale_instance, feasible_bandwidth_instance};
-
+/// Warm-start hit rate over one cold `s = 120` bandwidth solve and
+/// nine siblings, each with one right-hand side shifted: the matrix —
+/// and so the warm path's validity check — stays identical.
+fn warm_hit_rate(instances: &Instances) -> Result<f64, String> {
+    let mut model = instances.feasible_120_lp().model.clone();
+    let options = SimplexOptions::default();
     let mut workspace = RevisedWorkspace::new();
-
-    // --- Every rule pair agrees with the dense oracle at s = 400. ---
-    let problem = feasible_bandwidth_instance(400, 0.4, 31);
-    let formulation = build_model(&problem, Policy::Multiple, Integrality::RationalBound);
-    let dense = solve_lp(&formulation.model);
-    if dense.status != Status::Optimal {
-        eprintln!("s=400 dense oracle FAILED: status {}", dense.status);
-        std::process::exit(1);
+    solve_lp_revised_reusing(&model, &options, &mut workspace);
+    let constraints: Vec<_> = model.constraint_ids().collect();
+    for step in 1..=9 {
+        let id = constraints[step % constraints.len()];
+        let rhs = model.constraint(id).rhs;
+        model.set_rhs(id, rhs + 1.0);
+        solve_lp_revised_reusing(&model, &options, &mut workspace);
     }
-    for (pricing, dual_pricing, label) in [
-        (Pricing::Partial, DualPricing::Devex, "partial + dual devex"),
-        (Pricing::Devex, DualPricing::Devex, "devex + dual devex"),
+    Ok(rp_obs::global().warm_start_rate())
+}
+
+/// Dense-oracle and error-rung answers of the hardened ladder on the
+/// healthy `s = 120` bandwidth bound, which the checked revised rung
+/// must answer.
+fn hardened_dense_fallbacks(instances: &Instances) -> Result<f64, String> {
+    let model = &instances.feasible_120_lp().model;
+    solve_lp_hardened(
+        model,
+        &SimplexOptions::default(),
+        &mut LpWorkspace::default(),
+    )
+    .map_err(|error| format!("hardened s=120 solve failed: {error}"))?;
+    let registry = rp_obs::global();
+    Ok((registry.counter(Counter::LpHardenedDenseFallback)
+        + registry.counter(Counter::LpHardenedError)) as f64)
+}
+
+/// Share of the `s = 2000` bound's wall time that the phase profiler
+/// attributes to a named phase.
+fn s2000_phase_coverage(instances: &Instances) -> Result<f64, String> {
+    let solve = instances
+        .bandwidth_2000()
+        .solve(&SimplexOptions::default())?;
+    Ok(solve.workspace.last_stats().phases.total_nanos() as f64 / (solve.ms * 1e6).max(1.0))
+}
+
+/// Share of a fully instrumented (`ObsMode::Full`) `s = 400` solve's
+/// wall time covered by the phase breakdown. The telemetry must also be
+/// live: phase timers never nest, so a breakdown over 120% of the wall
+/// time double-counts; the key counters must be nonzero; and the trace
+/// and metrics exports must be well-formed and non-empty.
+fn s400_full_phase_coverage(instances: &Instances) -> Result<f64, String> {
+    let solve = instances.paper_400_lp().solve(&SimplexOptions::default())?;
+    let coverage =
+        solve.workspace.last_stats().phases.total_nanos() as f64 / (solve.ms * 1e6).max(1.0);
+    if coverage > 1.2 {
+        return Err(format!(
+            "phase breakdown sums to {:.1}% of the solve's wall time",
+            100.0 * coverage
+        ));
+    }
+    // Exporting flushes this thread's buffered spans, so it comes first.
+    for (what, text, key) in [
+        ("trace", rp_obs::chrome_trace_json(), "\"traceEvents\""),
+        ("metrics", rp_obs::metrics_json(), "\"counters\""),
+    ] {
+        if !json_is_well_formed(&text) || !text.contains(key) {
+            return Err(format!("the {what} export is malformed or missing {key}"));
+        }
+    }
+    let registry = rp_obs::global();
+    let warm_classified = registry.counter(Counter::LpWarmCold)
+        + registry.counter(Counter::LpWarmHit)
+        + registry.counter(Counter::LpWarmRefactor)
+        + registry.counter(Counter::LpWarmModeChangeCold);
+    for (name, value) in [
+        ("lp.solves", registry.counter(Counter::LpSolves)),
+        ("lp.ftran.calls", registry.counter(Counter::LpFtranCalls)),
+        ("lp.btran.calls", registry.counter(Counter::LpBtranCalls)),
         (
-            Pricing::Dantzig,
-            DualPricing::MostViolated,
-            "dantzig + most-violated",
+            "lp.iterations (gauge)",
+            registry.gauge(Gauge::LpLastIterations),
         ),
+        // L's off-diagonal count can legitimately be zero (tree bases
+        // factor near-triangularly); U always carries the diagonal.
+        (
+            "lp.factor.nnz_u (gauge)",
+            registry.gauge(Gauge::LpFactorNnzU),
+        ),
+        (
+            "lp.solve_us (hist count)",
+            registry.histogram(HistId::LpSolveUs).count(),
+        ),
+        ("lp.warm.* (classified)", warm_classified),
+        (
+            "trace events (exported)",
+            rp_obs::trace_event_count() as u64,
+        ),
+    ] {
+        if value == 0 {
+            return Err(format!("{name} is zero after an instrumented s=400 solve"));
+        }
+    }
+    Ok(coverage)
+}
+
+/// LP-guided rounding of the `s = 120` bandwidth instance: wall ms (LP
+/// solve plus rounding and repair) and its cost gap, in percent, over
+/// the rational bound — tight on this single-object family.
+fn lp_guided_s120(instances: &Instances) -> Result<(f64, f64), String> {
+    let problem = instances.feasible_120();
+    let bound = instances.feasible_120_bound()?;
+    let options = IlpOptions::with_engine(LpEngine::Revised);
+    let (ms, placement) = timed(|| lp_guided_with(problem, &options));
+    let placement = placement.ok_or("s=120 LP-guided rounding found no placement")?;
+    if !placement.is_valid(problem, Policy::Multiple) {
+        return Err("s=120 LP-guided placement is invalid".into());
+    }
+    Ok((
+        ms,
+        100.0 * (placement.cost(problem) as f64 / bound.max(1e-9) - 1.0),
+    ))
+}
+
+/// LP-guided rounding of the 2-object counting instance: wall ms and
+/// its cost gap, in percent, over the **exact** multi-object optimum.
+/// The rational bound is no yardstick here: `K` objects sharing a node
+/// pay fractional per-object replicas in the relaxation, so even the
+/// optimum sits far above it (the golden `multi_object_coupling`
+/// instance pins exact = 7 vs LP = 3.4).
+fn lp_guided_2obj(instances: &Instances) -> Result<(f64, f64), String> {
+    let problem = instances.counting_2obj();
+    let exact = instances.counting_2obj_exact()?;
+    let options = IlpOptions::with_engine(LpEngine::Revised);
+    let (ms, placement) = timed(|| lp_guided_multi_with(problem, &options));
+    let placement = placement.ok_or("2-object LP-guided rounding found no placement")?;
+    placement
+        .validate(problem, Policy::Multiple)
+        .map_err(|error| format!("2-object LP-guided placement is invalid: {error}"))?;
+    Ok((
+        ms,
+        100.0 * (placement.cost(problem) as f64 / exact as f64 - 1.0),
+    ))
+}
+
+/// Injects `failure` into MixedBest's paper-scale placement and repairs
+/// it, wall ms. Either outcome — full recovery or a degraded report —
+/// must pass its machine check.
+fn repair_ms(
+    instances: &Instances,
+    sample: fn(&ProblemInstance, u64) -> FailureEvent,
+) -> Result<f64, String> {
+    let problem = instances.paper_400();
+    let placement = instances.paper_400_placement()?;
+    let failure = sample(problem, 31);
+    let (ms, (platform, outcome)) =
+        timed(|| inject_and_repair(problem, placement, Policy::Multiple, &[failure]));
+    if !outcome.verify(&platform, Policy::Multiple) {
+        return Err(format!("repair of {failure} failed its machine check"));
+    }
+    Ok(ms)
+}
+
+/// Cold solves of the `s = 400` bandwidth bound under each pricing
+/// pair — partial, devex and Dantzig primal pricing with dual devex or
+/// most-violated-row — total wall ms. A pricing rule only reorders
+/// pivots, so every pair must agree with the dense oracle.
+fn s400_rule_pairs_ms(instances: &Instances) -> Result<f64, String> {
+    let lp = instances.feasible_400();
+    let mut total_ms = 0.0;
+    for (pricing, dual_pricing) in [
+        (Pricing::Partial, DualPricing::Devex),
+        (Pricing::Devex, DualPricing::Devex),
+        (Pricing::Dantzig, DualPricing::MostViolated),
     ] {
         let options = SimplexOptions {
             pricing,
             dual_pricing,
             ..SimplexOptions::default()
         };
-        workspace.invalidate();
-        let solution = solve_lp_revised_reusing(&formulation.model, &options, &mut workspace);
-        if solution.status != Status::Optimal
-            || (solution.objective - dense.objective).abs() > 1e-4 * dense.objective.abs().max(1.0)
-        {
-            eprintln!(
-                "s=400 pricing rule `{label}` disagrees: {} ({}) vs dense oracle {}",
-                solution.objective, solution.status, dense.objective
-            );
-            std::process::exit(1);
-        }
+        let solve = lp.solve(&options)?;
+        lp.check_oracle(solve.objective)
+            .map_err(|error| format!("{pricing:?} + dual {dual_pricing:?}: {error}"))?;
+        total_ms += solve.ms;
     }
-    println!(
-        "s=400 pricing rules all agree with the dense oracle ({:.3})",
-        dense.objective
-    );
-
-    // --- The s = 2000 bound inside the pricing-wall budget. ---
-    let problem = bandwidth_scale_instance(0.2, 31);
-    let formulation = build_model(&problem, Policy::Multiple, Integrality::RationalBound);
-    workspace.invalidate();
-    let options = SimplexOptions::default();
-    let (ns, solution) =
-        time_once(|| solve_lp_revised_reusing(&formulation.model, &options, &mut workspace));
-    if solution.status != Status::Optimal || !solution.objective.is_finite() {
-        eprintln!(
-            "s=2000 pricing smoke FAILED: status {}, objective {}",
-            solution.status, solution.objective
-        );
-        std::process::exit(1);
-    }
-    let budget_ms: f64 = std::env::var("RP_SMOKE_PRICE_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(500.0);
-    if ns / 1e6 > budget_ms {
-        eprintln!(
-            "s=2000 pricing smoke REGRESSED: {:.1} ms exceeds the {budget_ms} ms budget",
-            ns / 1e6
-        );
-        std::process::exit(1);
-    }
-    let stats = workspace.last_stats();
-    println!(
-        "s=2000 bound = {:.3} in {:.1} ms under the default rules \
-         ({} dual pivots, {} dual bound flips, queue {} hits / {} rebuilds, {} devex resets)",
-        solution.objective,
-        ns / 1e6,
-        stats.dual_pivots,
-        stats.dual_bound_flips,
-        stats.queue_hits,
-        stats.queue_rebuilds,
-        stats.devex_resets
-    );
+    Ok(total_ms)
 }
 
-/// The LP-guided heuristics CI smoke: one `s = 120`
-/// bandwidth-constrained instance and one 2-object instance must round
-/// to a **feasible** placement within a `RP_SMOKE_GAP_PCT` (default
-/// 25%) cost gap, inside the `RP_SMOKE_HEUR_MS` wall budget (default
-/// 2000 ms, covering the LP solve *and* the rounding/repair pipeline).
-///
-/// The yardstick differs per family, deliberately:
-///
-/// * **bandwidth (single-object)** — gap against the rational LP
-///   bound, which is tight on these formulations;
-/// * **2-object** — gap against the **exact multi-object ILP optimum**
-///   (solved in-process on a replica-counting 2-object instance). The
-///   rational bound is *not* a usable yardstick for multi-object
-///   families: `K` objects sharing a node pay fractional per-object
-///   replicas in the relaxation, so even the exact optimum sits far
-///   above it (the golden `multi_object_coupling` instance pins
-///   exact = 7 vs LP = 3.4 — a 106% gap at the optimum).
-fn smoke_heuristics() {
-    use rp_core::heuristics::lp_guided::{lp_guided_multi_with, lp_guided_with};
-    use rp_core::multi::solve_multi_ilp_with;
-    use rp_core::Policy;
-    use rp_workloads::scenarios::{feasible_bandwidth_instance, multi_object_counting_instance};
-
-    let gap_budget_pct: f64 = std::env::var("RP_SMOKE_GAP_PCT")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(25.0);
-    let ms_budget: f64 = std::env::var("RP_SMOKE_HEUR_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(2000.0);
-    let options = IlpOptions::with_engine(LpEngine::Revised);
-
-    // --- s = 120 bandwidth-constrained rounding. ---
-    let problem = feasible_bandwidth_instance(120, 0.4, 31);
-    let bound = lower_bound(&problem, BoundKind::Rational).unwrap_or(0.0);
-    let (ns, placement) = time_once(|| lp_guided_with(&problem, &options));
-    let Some(placement) = placement else {
-        eprintln!("s=120 bandwidth LP-guided rounding FAILED to place");
-        std::process::exit(1);
-    };
-    if !placement.is_valid(&problem, Policy::Multiple) {
-        eprintln!("s=120 bandwidth LP-guided placement is INVALID");
-        std::process::exit(1);
-    }
-    let gap_pct = 100.0 * (placement.cost(&problem) as f64 / bound.max(1e-9) - 1.0);
-    if gap_pct > gap_budget_pct {
-        eprintln!(
-            "s=120 bandwidth LP-guided gap REGRESSED: {gap_pct:.1}% exceeds {gap_budget_pct}%"
-        );
-        std::process::exit(1);
-    }
-    if ns / 1e6 > ms_budget {
-        eprintln!(
-            "s=120 bandwidth LP-guided rounding REGRESSED: {:.1} ms exceeds {ms_budget} ms",
-            ns / 1e6
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "s=120 bandwidth LP-guided cost = {} (bound {bound:.1}, gap {gap_pct:.1}%) in {:.1} ms",
-        placement.cost(&problem),
-        ns / 1e6
-    );
-
-    // --- 2-object rounding vs the exact multi-object optimum. ---
-    let problem = multi_object_counting_instance(40, 2, 0.4, 11);
-    let mut exact_options = options;
-    exact_options.branch_bound.max_nodes = 500_000;
-    let exact = solve_multi_ilp_with(&problem, &exact_options)
-        .map(|p| p.cost(&problem))
-        .unwrap_or_else(|| {
-            eprintln!("2-object exact reference solve FAILED");
-            std::process::exit(1);
-        });
-    let (ns, placement) = time_once(|| lp_guided_multi_with(&problem, &options));
-    let Some(placement) = placement else {
-        eprintln!("2-object LP-guided rounding FAILED to place");
-        std::process::exit(1);
-    };
-    if let Err(error) = placement.validate(&problem, Policy::Multiple) {
-        eprintln!("2-object LP-guided placement is INVALID: {error}");
-        std::process::exit(1);
-    }
-    let gap_pct = 100.0 * (placement.cost(&problem) as f64 / exact as f64 - 1.0);
-    if gap_pct > gap_budget_pct {
-        eprintln!("2-object LP-guided gap REGRESSED: {gap_pct:.1}% over the exact optimum {exact} exceeds {gap_budget_pct}%");
-        std::process::exit(1);
-    }
-    if ns / 1e6 > ms_budget {
-        eprintln!(
-            "2-object LP-guided rounding REGRESSED: {:.1} ms exceeds {ms_budget} ms",
-            ns / 1e6
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "2-object LP-guided cost = {} (exact {exact}, gap {gap_pct:.1}%) in {:.1} ms",
-        placement.cost(&problem),
-        ns / 1e6
-    );
-}
-
-/// The fault-tolerance CI smoke: one paper-scale (`s = 400`) instance,
-/// one seeded node failure and one seeded link failure, each injected
-/// into the MixedBest placement and repaired within the
-/// `RP_SMOKE_FAIL_MS` wall budget (default 250 ms per repair). Either
-/// outcome — full recovery or a degraded report — must pass its
-/// machine check; a check failure or a budget overrun exits non-zero.
-fn smoke_failures() {
-    use rp_core::{inject_and_repair, Policy};
-    use rp_workloads::failures::{sample_link_failure, sample_node_failure};
-
-    let problem = paper_scale_instance(PlatformKind::default_heterogeneous(), 0.4, 31);
-    let Some(placement) = Heuristic::MixedBest.run(&problem) else {
-        eprintln!("s=400 smoke-failures: MixedBest FAILED on the healthy instance");
-        std::process::exit(1);
-    };
-    let budget_ms: f64 = std::env::var("RP_SMOKE_FAIL_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(250.0);
-    for (label, failure) in [
-        ("node", sample_node_failure(&problem, 31)),
-        ("link", sample_link_failure(&problem, 31)),
-    ] {
-        let (ns, (platform, outcome)) =
-            time_once(|| inject_and_repair(&problem, &placement, Policy::Multiple, &[failure]));
-        if !outcome.verify(&platform, Policy::Multiple) {
-            eprintln!("s=400 {label}-failure repair FAILED its machine check ({failure})");
-            std::process::exit(1);
-        }
-        if ns / 1e6 > budget_ms {
-            eprintln!(
-                "s=400 {label}-failure repair REGRESSED: {:.2} ms exceeds the {budget_ms} ms budget",
-                ns / 1e6
-            );
-            std::process::exit(1);
-        }
-        println!(
-            "s=400 {label} failure ({failure}) repaired in {:.2} ms: {} ({:.1}% of requests served)",
-            ns / 1e6,
-            if outcome.is_full() {
-                "full recovery"
-            } else {
-                "degraded"
-            },
-            100.0 * outcome.served_fraction()
-        );
-    }
-}
-
-/// The online-engine CI smoke: the default churn sweep — 2000 seeded
-/// mixed deltas per policy on a paper-scale (`s = 400`) instance, each
-/// apply under a 50 ms budget with the incumbent machine-verified
-/// after every one (`Paranoia::Full`). Exits non-zero on any
-/// unverified incumbent, any rollback leak (the outcome mix, the rung
-/// counters and the final generation must all account for exactly the
-/// absorbed deltas), or a total wall time over `RP_SMOKE_ONLINE_MS`
-/// (default 120 000 ms across all three policies).
-fn smoke_online() {
-    use rp_experiments::churn::{run_churn, ChurnRunConfig};
-
+/// The default churn sweep — 2000 seeded mixed deltas per policy on an
+/// `s = 400` instance, each apply under a 50 ms budget with the
+/// incumbent machine-verified after every one — total wall ms. No
+/// incumbent may fail its check, and no rollback may leak: the outcome
+/// mix, the rung counters and the final generation must all account
+/// for exactly the absorbed deltas.
+fn churn_s400_ms(_: &Instances) -> Result<f64, String> {
     let config = ChurnRunConfig::new();
-    let budget_ms: f64 = std::env::var("RP_SMOKE_ONLINE_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(120_000.0);
-    let (ns, results) = time_once(|| run_churn(&config));
+    let (ms, results) = timed(|| run_churn(&config));
     let unverified = results.total_unverified();
     if unverified > 0 {
-        eprintln!("s=400 smoke-online: {unverified} incumbent(s) FAILED their machine check");
-        std::process::exit(1);
+        return Err(format!(
+            "{unverified} incumbent(s) failed their machine check"
+        ));
     }
     for outcome in &results.per_policy {
         let absorbed = (outcome.applied + outcome.degraded) as u64;
-        let accounted = outcome.applied + outcome.degraded + outcome.deferred == config.deltas
-            && outcome.rungs.total() == absorbed
-            && outcome.final_generation == absorbed;
-        if !accounted {
-            eprintln!(
-                "s=400 smoke-online: {} leaked a rollback ({} applied + {} degraded + {} \
-                 deferred vs {} deltas; rungs {}, generation {})",
+        if outcome.applied + outcome.degraded + outcome.deferred != config.deltas
+            || outcome.rungs.total() != absorbed
+            || outcome.final_generation != absorbed
+        {
+            return Err(format!(
+                "{} leaked a rollback ({} applied + {} degraded + {} deferred vs {} deltas; \
+                 rungs {}, generation {})",
                 outcome.policy,
                 outcome.applied,
                 outcome.degraded,
@@ -615,57 +530,170 @@ fn smoke_online() {
                 config.deltas,
                 outcome.rungs.total(),
                 outcome.final_generation
+            ));
+        }
+    }
+    Ok(ms)
+}
+
+/// Names every disagreement between the budget file and [`ROWS`]: a
+/// bound no row measures (a misspelt or stale key), a bound given
+/// twice, and a row the file leaves unbounded.
+fn budget_mismatches(budget: &[(String, String, f64)]) -> Vec<String> {
+    let bounds = |section: &str, key: &str| {
+        budget
+            .iter()
+            .filter(|(s, k, _)| s == section && k == key)
+            .count()
+    };
+    let mut out = Vec::new();
+    for (section, key, _) in budget {
+        if !ROWS.iter().any(|r| r.section == section && r.key == key) {
+            out.push(format!("`[{section}] {key}` bounds no gate row"));
+        } else if bounds(section, key) > 1 {
+            out.push(format!("`[{section}] {key}` is bounded more than once"));
+        }
+    }
+    for row in ROWS {
+        if bounds(row.section, row.key) == 0 {
+            out.push(format!(
+                "gate row `[{}] {}` has no bound",
+                row.section, row.key
+            ));
+        }
+    }
+    out
+}
+
+/// The gate (CI): runs every row of [`ROWS`] — or, with `section`, the
+/// rows of that `[section]` only — and fails on any breached bound or
+/// failed correctness condition.
+///
+/// On a failure the gate names the culprit before exiting non-zero: it
+/// keeps the flight-recorder ring as the first failing row left it,
+/// re-runs the representative instrumented workload, diffs the fresh
+/// counters against the checked-in `BENCH_obs.json`, prints the top
+/// movers, and leaves `obs-breach.metrics.json`, `obs-breach.diff.txt`
+/// and `obs-breach.flight.jsonl` behind for CI to upload.
+fn check_budget(budget_path: &str, section: Option<&str>) {
+    let text = std::fs::read_to_string(budget_path).unwrap_or_else(|e| {
+        eprintln!("cannot read {budget_path}: {e}");
+        std::process::exit(1);
+    });
+    let budget = parse_budget(&text);
+    let mismatches = budget_mismatches(&budget);
+    if !mismatches.is_empty() {
+        for mismatch in &mismatches {
+            eprintln!("{budget_path}: {mismatch}");
+        }
+        std::process::exit(1);
+    }
+    if let Some(name) = section {
+        if ROWS.iter().all(|row| row.section != name) {
+            let mut sections: Vec<_> = ROWS.iter().map(|row| row.section).collect();
+            sections.dedup();
+            eprintln!(
+                "unknown budget section `{name}` (expected one of: {})",
+                sections.join(", ")
             );
             std::process::exit(1);
         }
-        println!(
-            "s={} {}: {} deltas absorbed ({} applied, {} degraded, {} deferred) — \
-             {:.0} re-placements/s, p99 {:.3} ms, rungs {}/{}/{}/{} \
-             (surgical/lp-repair/rerun/degraded), all incumbents verified",
-            config.problem_size,
-            outcome.policy,
-            absorbed,
-            outcome.applied,
-            outcome.degraded,
-            outcome.deferred,
-            outcome.replacements_per_sec,
-            outcome.p99_ms,
-            outcome.rungs.surgical,
-            outcome.rungs.lp_repair,
-            outcome.rungs.rerun,
-            outcome.rungs.degraded,
-        );
+        println!("checking only the [{name}] section of {budget_path}");
     }
-    if ns / 1e6 > budget_ms {
-        eprintln!(
-            "s=400 smoke-online REGRESSED: {:.0} ms exceeds the {budget_ms} ms wall budget",
-            ns / 1e6
-        );
+
+    let instances = Instances::default();
+    let mut failures = 0usize;
+    let mut flight: Option<String> = None;
+    for row in ROWS
+        .iter()
+        .filter(|row| section.is_none_or(|s| s == row.section))
+    {
+        let name = format!("[{}] {}", row.section, row.key);
+        let ok = match row.samples(&instances) {
+            Ok(samples) => {
+                let median = samples[samples.len() / 2];
+                let bound = budget_bound(&budget, row.section, row.key)
+                    .expect("budget_mismatches vetted every row's bound");
+                let (ok, kind) = if row.key.ends_with("_min") {
+                    (median >= bound, "floor")
+                } else {
+                    (median <= bound, "ceiling")
+                };
+                let verdict = if ok { "ok" } else { "BREACH" };
+                println!(
+                    "{verdict:>7}  {name} = {median:.2} ({kind} {bound}; median of {}, \
+                     range {:.2}..{:.2})",
+                    samples.len(),
+                    samples[0],
+                    samples[samples.len() - 1]
+                );
+                ok
+            }
+            Err(error) => {
+                println!(" FAILED  {name}: {error}");
+                false
+            }
+        };
+        if !ok {
+            failures += 1;
+            flight.get_or_insert_with(|| rp_obs::flight_snapshot("budget_breach"));
+        }
+    }
+
+    if let Some(flight) = flight {
+        eprintln!("{failures} gate row(s) failed (bounds in {budget_path})");
+        // Name the culprit: snapshot the representative instrumented
+        // workload, rank its counters against the checked-in reference,
+        // and leave the evidence on disk for CI to upload.
+        write_breach_artifact("obs-breach.flight.jsonl", &flight);
+        let snapshot = obs_metrics_snapshot();
+        write_breach_artifact("obs-breach.metrics.json", &snapshot);
+        match std::fs::read_to_string("BENCH_obs.json") {
+            Ok(reference) => match obs_diff_report(&reference, &snapshot, 10) {
+                Ok(report) => {
+                    eprint!("top movers vs BENCH_obs.json:\n{report}");
+                    write_breach_artifact("obs-breach.diff.txt", &report);
+                }
+                Err(error) => eprintln!("(obs-diff attribution failed: {error})"),
+            },
+            Err(_) => {
+                eprintln!("(no BENCH_obs.json reference here; skipping the obs-diff attribution)");
+            }
+        }
         std::process::exit(1);
     }
+    println!("all gate rows hold ({budget_path})");
 }
 
-/// Solves the model cold `n` times on one workspace (invalidated
-/// between solves) and returns the median wall time in ms, exiting
-/// non-zero if any solve fails.
-fn median_cold_solve_ms(model: &rp_lp::Model, n: usize, what: &str) -> f64 {
-    use rp_lp::{solve_lp_revised_reusing, RevisedWorkspace, SimplexOptions, Status};
-
-    let mut workspace = RevisedWorkspace::new();
-    let options = SimplexOptions::default();
-    let mut samples = Vec::with_capacity(n);
-    for _ in 0..n {
-        workspace.invalidate();
-        let (ns, solution) =
-            time_once(|| solve_lp_revised_reusing(model, &options, &mut workspace));
-        if solution.status != Status::Optimal {
-            eprintln!("{what} FAILED: status {}", solution.status);
-            std::process::exit(1);
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let operands: Vec<&str> = args.iter().skip(1).map(String::as_str).collect();
+    match args.first().map(String::as_str) {
+        Some("--check-budget") => {
+            // Up to two operands, in either order: the budget file
+            // (recognised by its `.toml` suffix) and a section filter.
+            let path = operands.iter().find(|a| a.ends_with(".toml"));
+            let filter = operands.iter().find(|a| !a.ends_with(".toml"));
+            check_budget(path.copied().unwrap_or("perf-budget.toml"), filter.copied());
         }
-        samples.push(ns / 1e6);
+        Some("--obs-diff") if !operands.is_empty() => {
+            obs_diff(operands[0], operands.get(1).copied());
+        }
+        Some("--obs-out") => {
+            let path = operands.first().copied().unwrap_or("BENCH_obs.json");
+            std::fs::write(path, obs_metrics_snapshot())
+                .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+            eprintln!("wrote {path}");
+        }
+        _ => {
+            eprintln!(
+                "usage: baseline --check-budget [perf-budget.toml] [section]\n\
+                 \x20      baseline --obs-diff OLD.json [NEW.json]\n\
+                 \x20      baseline --obs-out [BENCH_obs.json]"
+            );
+            std::process::exit(2);
+        }
     }
-    samples.sort_by(|a, b| a.total_cmp(b));
-    samples[samples.len() / 2]
 }
 
 /// Minimal structural JSON check for the emitted trace/metrics files:
@@ -701,157 +729,6 @@ fn json_is_well_formed(text: &str) -> bool {
         }
     }
     depth == 0 && !in_string
-}
-
-/// The observability CI smoke: four checks back to back.
-///
-/// 1. **Key counters are live** — one instrumented (`ObsMode::Full`)
-///    `s = 400` paper-scale solve must leave the solve counter, the
-///    FTRAN counter, the iteration gauge, the solve histogram and a
-///    warm-start classification nonzero in the global registry —
-///    and its phase-time breakdown must sum to within 20% of the
-///    measured solve wall time (the profiler reconciles with reality).
-/// 2. **Exports round-trip** — the chrome trace and the metrics JSON
-///    written from that run must be structurally well-formed and
-///    contain the expected top-level keys.
-/// 3. **Disabled means free** — with `ObsMode::Off` the median cold
-///    solve must stay within 2% of the pinned pre-instrumentation
-///    timing budget (`RP_SMOKE_OBS_MS`, default 25 ms — the same
-///    ceiling `--smoke-revised` enforced before the telemetry layer
-///    existed), so the mode-gated sites cost nothing when off.
-fn smoke_obs() {
-    use rp_core::ilp::{build_model, Integrality};
-    use rp_core::Policy;
-    use rp_lp::{solve_lp_revised_reusing, RevisedWorkspace, SimplexOptions, Status};
-    use rp_obs::{Counter, Gauge, HistId};
-
-    let problem = paper_scale_instance(PlatformKind::default_heterogeneous(), 0.4, 31);
-    let formulation = build_model(&problem, Policy::Multiple, Integrality::RationalBound);
-
-    // --- 1. Instrumented solve: key counters nonzero. ---
-    rp_obs::set_mode(rp_obs::ObsMode::Full);
-    rp_obs::reset_all();
-    rp_obs::clear_trace();
-    let mut workspace = RevisedWorkspace::new();
-    let options = SimplexOptions::default();
-    let (wall_ns, solution) =
-        time_once(|| solve_lp_revised_reusing(&formulation.model, &options, &mut workspace));
-    if solution.status != Status::Optimal {
-        eprintln!(
-            "s=400 instrumented solve FAILED: status {}",
-            solution.status
-        );
-        std::process::exit(1);
-    }
-    // The phase profiler's breakdown must reconcile with the measured
-    // wall time: phase timers never nest, so the sum can only fall
-    // short of the wall clock by untimed glue — more than 20% adrift
-    // means a phase lost its timer (or one started double-counting).
-    let phases = workspace.last_stats().phases;
-    let coverage = phases.total_nanos() as f64 / wall_ns.max(1.0);
-    if !(0.8..=1.2).contains(&coverage) {
-        eprintln!(
-            "smoke-obs FAILED: phase breakdown sums to {:.1}% of the instrumented s=400 \
-             solve wall time ({:.2} ms of {:.2} ms); need within 20%",
-            100.0 * coverage,
-            phases.total_nanos() as f64 / 1e6,
-            wall_ns / 1e6,
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "phase breakdown covers {:.1}% of the instrumented s=400 solve ({:.2} ms)",
-        100.0 * coverage,
-        wall_ns / 1e6,
-    );
-    let registry = rp_obs::global();
-    let warm_classified = registry.counter(Counter::LpWarmCold)
-        + registry.counter(Counter::LpWarmHit)
-        + registry.counter(Counter::LpWarmRefactor)
-        + registry.counter(Counter::LpWarmModeChangeCold);
-    let key_counters = [
-        ("lp.solves", registry.counter(Counter::LpSolves)),
-        ("lp.ftran.calls", registry.counter(Counter::LpFtranCalls)),
-        ("lp.btran.calls", registry.counter(Counter::LpBtranCalls)),
-        (
-            "lp.iterations (gauge)",
-            registry.gauge(Gauge::LpLastIterations),
-        ),
-        // L's off-diagonal count can legitimately be zero (tree bases
-        // factor near-triangularly); U always carries the diagonal.
-        (
-            "lp.factor.nnz_u (gauge)",
-            registry.gauge(Gauge::LpFactorNnzU),
-        ),
-        (
-            "lp.solve_us (hist count)",
-            registry.histogram(HistId::LpSolveUs).count(),
-        ),
-        ("lp.warm.* (classified)", warm_classified),
-    ];
-    for (name, value) in key_counters {
-        if value == 0 {
-            eprintln!("smoke-obs FAILED: {name} is zero after an instrumented s=400 solve");
-            std::process::exit(1);
-        }
-    }
-    println!(
-        "s=400 instrumented solve: {} iterations, {} FTRANs, ftran skip ratio {:.3}",
-        registry.gauge(Gauge::LpLastIterations),
-        registry.counter(Counter::LpFtranCalls),
-        1.0 - registry.counter(Counter::LpFtranInNnz) as f64
-            / registry.counter(Counter::LpFtranDim).max(1) as f64,
-    );
-
-    // --- 2. Trace and metrics exports parse back. ---
-    let trace = rp_obs::chrome_trace_json();
-    let metrics = rp_obs::metrics_json();
-    for (what, text, key) in [
-        ("trace", &trace, "\"traceEvents\""),
-        ("metrics", &metrics, "\"counters\""),
-    ] {
-        if !json_is_well_formed(text) || !text.contains(key) {
-            eprintln!("smoke-obs FAILED: emitted {what} JSON is malformed or missing {key}");
-            std::process::exit(1);
-        }
-    }
-    if rp_obs::trace_event_count() == 0 {
-        eprintln!("smoke-obs FAILED: the instrumented solve produced no trace events");
-        std::process::exit(1);
-    }
-    println!(
-        "exports round-trip: {} trace events, {} bytes of metrics JSON",
-        rp_obs::trace_event_count(),
-        metrics.len()
-    );
-
-    // --- 3. Off-mode overhead under the pinned budget. ---
-    rp_obs::set_mode(rp_obs::ObsMode::Off);
-    let off_ms = median_cold_solve_ms(&formulation.model, 7, "s=400 off-mode solve");
-    let pinned_ms: f64 = std::env::var("RP_SMOKE_OBS_MS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(25.0);
-    let ceiling_ms = pinned_ms * 1.02;
-    if off_ms > ceiling_ms {
-        eprintln!(
-            "smoke-obs FAILED: Off-mode s=400 solve took {off_ms:.2} ms, over the pinned \
-             uninstrumented budget {pinned_ms} ms + 2% ({ceiling_ms:.2} ms)"
-        );
-        std::process::exit(1);
-    }
-    println!("Off-mode s=400 median {off_ms:.2} ms, within the pinned {pinned_ms} ms + 2% ceiling");
-}
-
-/// Writes `BENCH_obs.json`: the metrics-registry snapshot of one fully
-/// instrumented representative workload (the smoke sweep plus the
-/// bandwidth scenario sweep) — every counter, gauge and histogram in
-/// the catalogue, so the telemetry trajectory is tracked across PRs
-/// alongside the timing baselines.
-fn write_obs_report(path: &str) {
-    let json = obs_metrics_snapshot();
-    std::fs::write(path, &json).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    eprintln!("wrote {path}");
 }
 
 /// Runs the representative instrumented workload (the smoke sweep plus
@@ -906,15 +783,12 @@ fn parse_budget(text: &str) -> Vec<(String, String, f64)> {
     out
 }
 
-fn budget_value(budget: &[(String, String, f64)], key: &str) -> f64 {
+/// The value of `[section] key` in a parsed budget file.
+fn budget_bound(budget: &[(String, String, f64)], section: &str, key: &str) -> Option<f64> {
     budget
         .iter()
-        .find(|(_, k, _)| k == key)
+        .find(|(s, k, _)| s == section && k == key)
         .map(|&(_, _, v)| v)
-        .unwrap_or_else(|| {
-            eprintln!("perf-budget.toml is missing the `{key}` ceiling");
-            std::process::exit(1);
-        })
 }
 
 /// Flattens a JSON document into dotted-path numeric leaves
@@ -1167,217 +1041,6 @@ fn obs_diff(old_path: &str, new_path: Option<&str>) {
     }
 }
 
-/// The perf-regression gate (CI): measures the ceilings pinned in
-/// `perf-budget.toml` and fails the build on any breach.
-///
-/// * `s400_bound_ms` — median cold `s = 400` rational-bound solve;
-/// * `s2000_bound_ms` / `s2000_iterations_max` — the multi-thousand-row
-///   bandwidth bound's wall time and simplex iteration count;
-/// * `warm_hit_rate_min` — sibling re-solves (same matrix, shifted
-///   right-hand sides) must ride the warm path, not fall back cold;
-/// * `hardened_dense_fallbacks_max` — a healthy instance must be
-///   answered by the checked revised rung, never the dense oracle;
-/// * `obs_phase_coverage_min` — the phase profiler's per-phase wall
-///   times must account for most of an instrumented solve.
-///
-/// `section` restricts the run to one `[section]` of the budget file
-/// (`lp` / `warm` / `hardened` / `obs`) — re-measuring one breached
-/// ceiling no longer pays for every other measurement.
-///
-/// On any breach the gate names the culprit before exiting non-zero:
-/// it re-runs the representative instrumented workload, diffs the
-/// fresh counters against the checked-in `BENCH_obs.json`, prints the
-/// top movers, and leaves `obs-breach.metrics.json`,
-/// `obs-breach.diff.txt` and `obs-breach.flight.jsonl` behind for CI
-/// to upload.
-fn check_budget(budget_path: &str, section: Option<&str>) {
-    use rp_core::ilp::{build_model, Integrality};
-    use rp_core::Policy;
-    use rp_lp::{
-        solve_lp_hardened, solve_lp_revised_reusing, LpWorkspace, RevisedWorkspace, SimplexOptions,
-        Status,
-    };
-    use rp_obs::Counter;
-    use rp_workloads::scenarios::{bandwidth_scale_instance, feasible_bandwidth_instance};
-
-    const SECTIONS: [&str; 4] = ["lp", "warm", "hardened", "obs"];
-    if let Some(name) = section {
-        if !SECTIONS.contains(&name) {
-            eprintln!(
-                "unknown budget section `{name}` (expected one of: {})",
-                SECTIONS.join(", ")
-            );
-            std::process::exit(1);
-        }
-        println!("checking only the [{name}] section of {budget_path}");
-    }
-    let run = |name: &str| section.is_none_or(|s| s == name);
-
-    let text = std::fs::read_to_string(budget_path).unwrap_or_else(|e| {
-        eprintln!("cannot read {budget_path}: {e}");
-        std::process::exit(1);
-    });
-    let budget = parse_budget(&text);
-    rp_obs::set_mode(rp_obs::ObsMode::Counters);
-    rp_obs::reset_all();
-    let options = SimplexOptions::default();
-    let mut failures = 0usize;
-    let mut check = |name: &str, value: f64, ceiling: f64, higher_is_better: bool| {
-        let ok = if higher_is_better {
-            value >= ceiling
-        } else {
-            value <= ceiling
-        };
-        let verdict = if ok { "ok" } else { "BREACH" };
-        let bound = if higher_is_better { "floor" } else { "ceiling" };
-        println!("{verdict:>7}  {name} = {value:.2} ({bound} {ceiling})");
-        if !ok {
-            failures += 1;
-        }
-    };
-
-    if run("lp") {
-        // --- s = 400 paper-scale bound wall time. ---
-        let problem = paper_scale_instance(PlatformKind::default_heterogeneous(), 0.4, 31);
-        let formulation = build_model(&problem, Policy::Multiple, Integrality::RationalBound);
-        let ms = median_cold_solve_ms(&formulation.model, 5, "s=400 budget solve");
-        check(
-            "s400_bound_ms",
-            ms,
-            budget_value(&budget, "s400_bound_ms"),
-            false,
-        );
-
-        // --- s = 2000 bandwidth bound: wall time and iterations. ---
-        let problem = bandwidth_scale_instance(0.2, 31);
-        let formulation = build_model(&problem, Policy::Multiple, Integrality::RationalBound);
-        let mut workspace = RevisedWorkspace::new();
-        let (ns, solution) =
-            time_once(|| solve_lp_revised_reusing(&formulation.model, &options, &mut workspace));
-        if solution.status != Status::Optimal {
-            eprintln!("s=2000 budget solve FAILED: status {}", solution.status);
-            std::process::exit(1);
-        }
-        check(
-            "s2000_bound_ms",
-            ns / 1e6,
-            budget_value(&budget, "s2000_bound_ms"),
-            false,
-        );
-        check(
-            "s2000_iterations_max",
-            workspace.last_stats().iterations() as f64,
-            budget_value(&budget, "s2000_iterations_max"),
-            false,
-        );
-    }
-
-    if run("warm") {
-        // --- Warm-start hit rate over sibling re-solves. ---
-        rp_obs::reset_all();
-        let problem = feasible_bandwidth_instance(120, 0.4, 31);
-        let formulation = build_model(&problem, Policy::Multiple, Integrality::RationalBound);
-        let mut model = formulation.model;
-        let mut workspace = RevisedWorkspace::new();
-        solve_lp_revised_reusing(&model, &options, &mut workspace);
-        let constraints: Vec<_> = model.constraint_ids().collect();
-        for step in 1..=9 {
-            // Perturb one right-hand side per sibling: the matrix — and
-            // so the warm path's validity check — stays identical.
-            let id = constraints[step % constraints.len()];
-            let rhs = model.constraint(id).rhs;
-            model.set_rhs(id, rhs + 1.0);
-            solve_lp_revised_reusing(&model, &options, &mut workspace);
-        }
-        check(
-            "warm_hit_rate_min",
-            rp_obs::global().warm_start_rate(),
-            budget_value(&budget, "warm_hit_rate_min"),
-            true,
-        );
-    }
-
-    if run("hardened") {
-        // --- Hardened ladder on a healthy instance. ---
-        rp_obs::reset_all();
-        let problem = feasible_bandwidth_instance(120, 0.4, 31);
-        let formulation = build_model(&problem, Policy::Multiple, Integrality::RationalBound);
-        let mut engine_workspace = LpWorkspace::default();
-        match solve_lp_hardened(&formulation.model, &options, &mut engine_workspace) {
-            Ok(hardened) => {
-                println!(
-                    "         (healthy s=120 answered by the {} rung)",
-                    hardened.rung
-                );
-            }
-            Err(error) => {
-                eprintln!("hardened budget solve FAILED: {error}");
-                std::process::exit(1);
-            }
-        }
-        let registry = rp_obs::global();
-        check(
-            "hardened_dense_fallbacks_max",
-            (registry.counter(Counter::LpHardenedDenseFallback)
-                + registry.counter(Counter::LpHardenedError)) as f64,
-            budget_value(&budget, "hardened_dense_fallbacks_max"),
-            false,
-        );
-    }
-
-    if run("obs") {
-        // --- Phase-profiler coverage on the s = 2000 bandwidth bound:
-        // the per-phase wall times must account for most of the solve,
-        // or the attribution (and every obs-diff built on it) is
-        // watching a minority of the work. ---
-        rp_obs::reset_all();
-        let problem = bandwidth_scale_instance(0.2, 31);
-        let formulation = build_model(&problem, Policy::Multiple, Integrality::RationalBound);
-        let mut workspace = RevisedWorkspace::new();
-        let (ns, solution) =
-            time_once(|| solve_lp_revised_reusing(&formulation.model, &options, &mut workspace));
-        if solution.status != Status::Optimal {
-            eprintln!(
-                "s=2000 obs-coverage solve FAILED: status {}",
-                solution.status
-            );
-            std::process::exit(1);
-        }
-        let phases = workspace.last_stats().phases;
-        check(
-            "obs_phase_coverage_min",
-            phases.total_nanos() as f64 / ns.max(1.0),
-            budget_value(&budget, "obs_phase_coverage_min"),
-            true,
-        );
-    }
-
-    if failures > 0 {
-        eprintln!("{failures} perf-budget ceiling(s) breached (see {budget_path})");
-        // Name the culprit: snapshot the representative instrumented
-        // workload, rank its counters against the checked-in reference,
-        // and leave the evidence on disk for CI to upload.
-        let snapshot = obs_metrics_snapshot();
-        write_breach_artifact("obs-breach.metrics.json", &snapshot);
-        match std::fs::read_to_string("BENCH_obs.json") {
-            Ok(reference) => match obs_diff_report(&reference, &snapshot, 10) {
-                Ok(report) => {
-                    eprint!("top movers vs BENCH_obs.json:\n{report}");
-                    write_breach_artifact("obs-breach.diff.txt", &report);
-                }
-                Err(error) => eprintln!("(obs-diff attribution failed: {error})"),
-            },
-            Err(_) => {
-                eprintln!("(no BENCH_obs.json reference here; skipping the obs-diff attribution)");
-            }
-        }
-        let dump = rp_obs::flight_snapshot("budget_breach");
-        write_breach_artifact("obs-breach.flight.jsonl", &dump);
-        std::process::exit(1);
-    }
-    println!("all perf-budget ceilings hold ({budget_path})");
-}
-
 /// Best-effort write of a breach artifact — attribution must never mask
 /// the original budget failure, so write errors only warn.
 fn write_breach_artifact(path: &str, contents: &str) {
@@ -1385,1435 +1048,6 @@ fn write_breach_artifact(path: &str, contents: &str) {
         Ok(()) => eprintln!("wrote {path}"),
         Err(error) => eprintln!("(cannot write {path}: {error})"),
     }
-}
-
-/// Writes `BENCH_failures.json`: the resilience trajectory — per
-/// heuristic candidate the survival rate, mean served fraction, cost
-/// delta of surviving repairs, and mean/p99 repair latency under the
-/// default 200-trial single-failure chaos sweep. The sweep's base seed
-/// is recorded in the file, so every number is reproducible from it.
-/// Any outcome failing its machine check aborts the report non-zero.
-fn write_failures_report(path: &str) {
-    use rp_experiments::{run_resilience, ResilienceConfig};
-
-    let config = ResilienceConfig::new();
-    let results = run_resilience(&config);
-    let unverified = results.total_unverified();
-    if unverified > 0 {
-        eprintln!("resilience sweep produced {unverified} UNVERIFIED repair outcome(s)");
-        std::process::exit(1);
-    }
-    let mut entries: Vec<(String, f64)> = vec![
-        ("config/seed".to_string(), config.seed as f64),
-        ("config/trials".to_string(), config.trials as f64),
-        (
-            "config/problem_size".to_string(),
-            config.problem_size as f64,
-        ),
-    ];
-    for summary in results.summaries() {
-        let name = summary.heuristic.acronym();
-        entries.push((
-            format!("survival_pct/{name}"),
-            100.0 * summary.survival_rate,
-        ));
-        entries.push((
-            format!("served_pct/{name}"),
-            100.0 * summary.mean_served_fraction,
-        ));
-        if let Some(delta) = summary.mean_cost_delta_pct {
-            entries.push((format!("cost_delta_pct/{name}"), delta));
-        }
-        entries.push((format!("repair_mean_ms/{name}"), summary.mean_repair_ms));
-        entries.push((format!("repair_p99_ms/{name}"), summary.p99_repair_ms));
-        entries.push((
-            format!("base_fail/{name}"),
-            summary.baseline_failures as f64,
-        ));
-    }
-
-    entries.retain(|(name, value)| {
-        let keep = value.is_finite();
-        if !keep {
-            eprintln!("skipping non-finite metric {name} = {value}");
-        }
-        keep
-    });
-    let mut s = String::new();
-    s.push_str("{\n  \"schema\": 1,\n");
-    s.push_str(
-        "  \"units\": \"*_pct = percent, *_ms = wall-clock ms per repair; config/seed \
-         reproduces the whole sweep\",\n",
-    );
-    s.push_str("  \"metrics\": {\n");
-    for (i, (name, value)) in entries.iter().enumerate() {
-        let comma = if i + 1 == entries.len() { "" } else { "," };
-        s.push_str(&format!("    \"{name}\": {value:.1}{comma}\n"));
-    }
-    s.push_str("  }\n}\n");
-    std::fs::write(path, &s).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    println!("{s}");
-    eprintln!("wrote {path}");
-}
-
-/// Writes `BENCH_online.json`: the online-engine churn trajectory at
-/// `s = 2000` — per policy the sustained re-placements per second, the
-/// p50/p99/mean apply latency and the escalation-rung counters under
-/// the default 2000-delta / 50 ms-per-delta sweep. The base seed is
-/// recorded in the file, so every number is reproducible from it. Any
-/// incumbent failing its machine check aborts the report non-zero.
-fn write_online_report(path: &str) {
-    use rp_experiments::churn::{run_churn, ChurnRunConfig};
-
-    let mut config = ChurnRunConfig::new();
-    config.problem_size = 2000;
-    let results = run_churn(&config);
-    let unverified = results.total_unverified();
-    if unverified > 0 {
-        eprintln!("churn sweep produced {unverified} UNVERIFIED incumbent(s)");
-        std::process::exit(1);
-    }
-    let mut entries: Vec<(String, f64)> = vec![
-        ("config/seed".to_string(), config.seed as f64),
-        ("config/deltas".to_string(), config.deltas as f64),
-        (
-            "config/problem_size".to_string(),
-            config.problem_size as f64,
-        ),
-        (
-            "config/budget_ms".to_string(),
-            config.budget_ms.map(|ms| ms as f64).unwrap_or(-1.0),
-        ),
-    ];
-    for outcome in &results.per_policy {
-        let name = outcome.policy.to_string();
-        entries.push((format!("repl_per_sec/{name}"), outcome.replacements_per_sec));
-        entries.push((format!("apply_p50_ms/{name}"), outcome.p50_ms));
-        entries.push((format!("apply_p99_ms/{name}"), outcome.p99_ms));
-        entries.push((format!("apply_mean_ms/{name}"), outcome.mean_ms));
-        entries.push((format!("applied/{name}"), outcome.applied as f64));
-        entries.push((format!("degraded/{name}"), outcome.degraded as f64));
-        entries.push((format!("deferred/{name}"), outcome.deferred as f64));
-        entries.push((
-            format!("rung_surgical/{name}"),
-            outcome.rungs.surgical as f64,
-        ));
-        entries.push((
-            format!("rung_lp_repair/{name}"),
-            outcome.rungs.lp_repair as f64,
-        ));
-        entries.push((format!("rung_rerun/{name}"), outcome.rungs.rerun as f64));
-        entries.push((
-            format!("rung_degraded/{name}"),
-            outcome.rungs.degraded as f64,
-        ));
-    }
-
-    entries.retain(|(name, value)| {
-        let keep = value.is_finite();
-        if !keep {
-            eprintln!("skipping non-finite metric {name} = {value}");
-        }
-        keep
-    });
-    let mut s = String::new();
-    s.push_str("{\n  \"schema\": 1,\n");
-    s.push_str(
-        "  \"units\": \"repl_per_sec = absorbed deltas per wall second, apply_*_ms = \
-         wall-clock ms per apply, the rest are counts; config/seed reproduces the sweep\",\n",
-    );
-    s.push_str("  \"metrics\": {\n");
-    for (i, (name, value)) in entries.iter().enumerate() {
-        let comma = if i + 1 == entries.len() { "" } else { "," };
-        s.push_str(&format!("    \"{name}\": {value:.3}{comma}\n"));
-    }
-    s.push_str("  }\n}\n");
-    std::fs::write(path, &s).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    println!("{s}");
-    eprintln!("wrote {path}");
-}
-
-/// Writes `BENCH_heuristics.json`: the LP-guided rounding trajectory —
-/// per family the cost-vs-LP gap (percent) and the end-to-end wall
-/// clock (LP solve + rounding + repair + pruning), next to the classic
-/// ensemble (bandwidth-repaired Section 6 heuristics / validated
-/// sequential greedy) for the same instances.
-fn write_heuristics_report(path: &str) {
-    use rp_core::heuristics::lp_guided::{lp_guided_multi_with, lp_guided_with, BandwidthRepair};
-    use rp_core::ilp::{multi_lower_bound, BoundKind};
-    use rp_core::multi::{solve_multi_greedy, MultiGreedyOptions};
-    use rp_core::Policy;
-    use rp_workloads::scenarios::{
-        feasible_bandwidth_instance, ill_scaled_bandwidth_instance, multi_object_counting_instance,
-        multi_object_instance,
-    };
-
-    let options = IlpOptions::with_engine(LpEngine::Revised);
-    let mut entries: Vec<(String, f64)> = Vec::new();
-    let gap_pct = |cost: u64, bound: f64| 100.0 * (cost as f64 / bound.max(1e-9) - 1.0);
-
-    for (size, family, problem) in [
-        (
-            120usize,
-            "bandwidth",
-            feasible_bandwidth_instance(120, 0.4, 31),
-        ),
-        (400, "bandwidth", feasible_bandwidth_instance(400, 0.4, 31)),
-        (
-            200,
-            "bandwidth_ill",
-            ill_scaled_bandwidth_instance(200, 0.4, 7),
-        ),
-    ] {
-        let Some(bound) = lower_bound(&problem, BoundKind::Rational) else {
-            continue;
-        };
-        let (ns, rounded) = time_once(|| lp_guided_with(&problem, &options));
-        if let Some(placement) = rounded {
-            entries.push((
-                format!("lp_guided/{family}/s{size}_gap_pct"),
-                gap_pct(placement.cost(&problem), bound),
-            ));
-            entries.push((format!("lp_guided/{family}/s{size}_ms"), ns / 1e6));
-        }
-        let (ns, classic) = time_once(|| {
-            rp_core::Heuristic::BASE
-                .iter()
-                .filter_map(|&h| BandwidthRepair(h).run(&problem).map(|p| p.cost(&problem)))
-                .min()
-        });
-        if let Some(cost) = classic {
-            entries.push((
-                format!("classic_repair/{family}/s{size}_gap_pct"),
-                gap_pct(cost, bound),
-            ));
-            entries.push((format!("classic_repair/{family}/s{size}_ms"), ns / 1e6));
-        }
-    }
-
-    // The counting 2-object family, where the rational bound gap is
-    // dominated by heuristic quality rather than the intrinsic
-    // multi-object integrality gap of the jittered-cost family.
-    for size in [120usize, 200] {
-        let problem = multi_object_counting_instance(size, 2, 0.4, 11);
-        let Some(bound) = multi_lower_bound(&problem, BoundKind::Rational) else {
-            continue;
-        };
-        let (ns, rounded) = time_once(|| lp_guided_multi_with(&problem, &options));
-        if let Some(placement) = rounded {
-            entries.push((
-                format!("lp_guided/multi_counting/s{size}_gap_pct"),
-                gap_pct(placement.cost(&problem), bound),
-            ));
-            entries.push((format!("lp_guided/multi_counting/s{size}_ms"), ns / 1e6));
-        }
-    }
-
-    for (objects, size) in [(2usize, 120usize), (4, 120), (2, 400)] {
-        let problem = multi_object_instance(size, objects, 0.4, 11);
-        let Some(bound) = multi_lower_bound(&problem, BoundKind::Rational) else {
-            continue;
-        };
-        let (ns, rounded) = time_once(|| lp_guided_multi_with(&problem, &options));
-        if let Some(placement) = rounded {
-            entries.push((
-                format!("lp_guided/multi_{objects}obj/s{size}_gap_pct"),
-                gap_pct(placement.cost(&problem), bound),
-            ));
-            entries.push((format!("lp_guided/multi_{objects}obj/s{size}_ms"), ns / 1e6));
-        }
-        let (ns, greedy) = time_once(|| {
-            solve_multi_greedy(&problem, &MultiGreedyOptions::default())
-                .filter(|p| p.is_valid(&problem, Policy::Multiple))
-                .map(|p| p.cost(&problem))
-        });
-        if let Some(cost) = greedy {
-            entries.push((
-                format!("greedy/multi_{objects}obj/s{size}_gap_pct"),
-                gap_pct(cost, bound),
-            ));
-            entries.push((format!("greedy/multi_{objects}obj/s{size}_ms"), ns / 1e6));
-        }
-    }
-
-    entries.retain(|(name, value)| {
-        let keep = value.is_finite();
-        if !keep {
-            eprintln!("skipping non-finite metric {name} = {value}");
-        }
-        keep
-    });
-    let mut s = String::new();
-    s.push_str("{\n  \"schema\": 1,\n");
-    s.push_str(
-        "  \"units\": \"*_gap_pct = 100*(cost/LP bound - 1), *_ms = wall-clock ms for the \
-         whole candidate (LP solve + rounding where applicable)\",\n",
-    );
-    s.push_str("  \"metrics\": {\n");
-    for (i, (name, value)) in entries.iter().enumerate() {
-        let comma = if i + 1 == entries.len() { "" } else { "," };
-        s.push_str(&format!("    \"{name}\": {value:.1}{comma}\n"));
-    }
-    s.push_str("  }\n}\n");
-    std::fs::write(path, &s).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    println!("{s}");
-    eprintln!("wrote {path}");
-}
-
-/// Writes `BENCH_scenarios.json`: the bandwidth-constrained and
-/// multi-object formulation trajectory — solve times and iteration
-/// counts per family and scale, the equilibration's entry-spread
-/// reduction and its iteration effect on the ill-scaled family, and a
-/// revised-vs-dense agreement probe at a size the dense oracle still
-/// reaches.
-fn write_scenarios_report(path: &str) {
-    use rp_core::ilp::{build_model, build_multi_model, Integrality};
-    use rp_core::Policy;
-    use rp_lp::{solve_lp_revised_reusing, RevisedWorkspace, Scaling, SimplexOptions, Status};
-    use rp_workloads::scenarios::{
-        bandwidth_scale_instance, feasible_bandwidth_instance, ill_scaled_bandwidth_instance,
-        multi_object_bandwidth_instance, multi_object_instance,
-    };
-
-    let mut entries: Vec<(String, f64)> = Vec::new();
-    let options = SimplexOptions::default();
-    let mut workspace = RevisedWorkspace::new();
-
-    // Bandwidth-constrained LP bound across scales, on the
-    // guaranteed-feasible headroom family so the timings always
-    // describe a completed solve.
-    for size in [120usize, 400] {
-        let problem = feasible_bandwidth_instance(size, 0.4, 31);
-        let formulation = build_model(&problem, Policy::Multiple, Integrality::RationalBound);
-        workspace.invalidate();
-        let (ns, solution) =
-            time_once(|| solve_lp_revised_reusing(&formulation.model, &options, &mut workspace));
-        if solution.status == Status::Optimal {
-            entries.push((format!("bandwidth_lp/s{size}_ms"), ns / 1e6));
-            entries.push((
-                format!("bandwidth_lp/s{size}_iters"),
-                workspace.last_stats().iterations() as f64,
-            ));
-            entries.push((
-                format!("bandwidth_lp/s{size}_rows"),
-                formulation.model.num_constraints() as f64,
-            ));
-        }
-    }
-
-    // The s = 2000 class (ill-scaled wide-range platform).
-    let problem = bandwidth_scale_instance(0.2, 31);
-    let formulation = build_model(&problem, Policy::Multiple, Integrality::RationalBound);
-    workspace.invalidate();
-    let (ns, solution) =
-        time_once(|| solve_lp_revised_reusing(&formulation.model, &options, &mut workspace));
-    if solution.status == Status::Optimal {
-        entries.push(("bandwidth_lp/s2000_ms".to_string(), ns / 1e6));
-        entries.push((
-            "bandwidth_lp/s2000_iters".to_string(),
-            workspace.last_stats().iterations() as f64,
-        ));
-        entries.push((
-            "bandwidth_lp/s2000_rows".to_string(),
-            formulation.model.num_constraints() as f64,
-        ));
-        entries.push((
-            "bandwidth_lp/s2000_cols".to_string(),
-            formulation.model.num_vars() as f64,
-        ));
-        if let Some((before, after)) = workspace.scaling_spread() {
-            entries.push(("scaling/s2000_spread_before".to_string(), before));
-            entries.push(("scaling/s2000_spread_after".to_string(), after));
-        }
-    }
-
-    // Equilibration effect on the ill-scaled family. Three runs:
-    // `scaled` is the shipping `Auto` decision (which deliberately
-    // leaves this family's ~2e5 spread alone — see `AUTO_SPREAD`),
-    // `unscaled` forces the pass off, and `geometric` forces it on to
-    // keep the iteration cost of equilibrating this family honest in
-    // the snapshot (it collapses the spread but pays extra iterations
-    // in scaled-unit tolerance/tie-break geometry).
-    let problem = ill_scaled_bandwidth_instance(200, 0.4, 7);
-    let formulation = build_model(&problem, Policy::Multiple, Integrality::RationalBound);
-    for (scaling, label) in [
-        (Scaling::Auto, "scaled"),
-        (Scaling::Off, "unscaled"),
-        (Scaling::Geometric, "geometric"),
-    ] {
-        let scaled_options = SimplexOptions {
-            scaling,
-            ..SimplexOptions::default()
-        };
-        workspace.invalidate();
-        let (ns, solution) = time_once(|| {
-            solve_lp_revised_reusing(&formulation.model, &scaled_options, &mut workspace)
-        });
-        if solution.status == Status::Optimal {
-            entries.push((format!("scaling/illscaled_s200_{label}_ms"), ns / 1e6));
-            entries.push((
-                format!("scaling/illscaled_s200_{label}_iters"),
-                workspace.last_stats().iterations() as f64,
-            ));
-            // Spread diagnostics exist only for the forced-on run.
-            if let Some((before, after)) = workspace.scaling_spread() {
-                entries.push(("scaling/illscaled_s200_spread_before".to_string(), before));
-                entries.push(("scaling/illscaled_s200_spread_after".to_string(), after));
-            }
-        }
-    }
-
-    // Multi-object bounds: shared capacities, then shared links too.
-    for (objects, size) in [(2usize, 120usize), (4, 120), (4, 400)] {
-        let problem = multi_object_instance(size, objects, 0.4, 11);
-        let formulation = build_multi_model(&problem, Integrality::RationalBound);
-        workspace.invalidate();
-        let (ns, solution) =
-            time_once(|| solve_lp_revised_reusing(&formulation.model, &options, &mut workspace));
-        if solution.status == Status::Optimal {
-            entries.push((format!("multi_lp/{objects}obj_s{size}_ms"), ns / 1e6));
-            entries.push((
-                format!("multi_lp/{objects}obj_s{size}_iters"),
-                workspace.last_stats().iterations() as f64,
-            ));
-        }
-    }
-    let problem = multi_object_bandwidth_instance(120, 3, 0.4, 11);
-    let formulation = build_multi_model(&problem, Integrality::RationalBound);
-    workspace.invalidate();
-    let (ns, solution) =
-        time_once(|| solve_lp_revised_reusing(&formulation.model, &options, &mut workspace));
-    if solution.status == Status::Optimal {
-        entries.push(("multi_lp/3obj_s120_bandwidth_ms".to_string(), ns / 1e6));
-        entries.push((
-            "multi_lp/3obj_s120_bandwidth_rows".to_string(),
-            formulation.model.num_constraints() as f64,
-        ));
-    }
-
-    entries.retain(|(name, value)| {
-        let keep = value.is_finite();
-        if !keep {
-            eprintln!("skipping non-finite metric {name} = {value}");
-        }
-        keep
-    });
-    let mut s = String::new();
-    s.push_str("{\n  \"schema\": 1,\n");
-    s.push_str(
-        "  \"units\": \"*_ms = wall-clock ms (one shot), *_iters = simplex iterations, \
-         spread_* = max|a|/min|a| of the constraint matrix\",\n",
-    );
-    s.push_str("  \"metrics\": {\n");
-    for (i, (name, value)) in entries.iter().enumerate() {
-        let comma = if i + 1 == entries.len() { "" } else { "," };
-        s.push_str(&format!("    \"{name}\": {value:.1}{comma}\n"));
-    }
-    s.push_str("  }\n}\n");
-    std::fs::write(path, &s).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    println!("{s}");
-    eprintln!("wrote {path}");
-}
-
-/// Writes `BENCH_pricing.json`: the pricing-machinery trajectory that
-/// PR 9's tentpole pins. For each scale (`s = 400`, `s = 2000`) and
-/// each rule pair —
-///
-/// * `partial` — candidate-queue partial pricing + dual devex (the
-///   shipping default),
-/// * `devex` — full devex scan + dual devex,
-/// * `dantzig` — textbook most-negative reduced cost + dual devex,
-/// * `dual_mv` — partial pricing + the pre-PR-9 most-violated-row dual
-///   rule (isolates what the dual devex weights buy),
-///
-/// the report records a **cold** solve (wall ms, simplex iterations,
-/// primal + dual bound flips) followed by a **warm** sibling re-solve
-/// (same matrix, one right-hand side nudged — the `check_budget`
-/// sibling pattern) through the same workspace — the
-/// branch-and-bound / λ-sweep path that partial pricing is meant to
-/// keep cheap.
-fn write_pricing_report(path: &str) {
-    use rp_core::ilp::{build_model, Integrality};
-    use rp_core::Policy;
-    use rp_lp::{
-        solve_lp_revised_reusing, DualPricing, Pricing, RevisedWorkspace, SimplexOptions, Status,
-    };
-    use rp_workloads::scenarios::{bandwidth_scale_instance, feasible_bandwidth_instance};
-
-    let mut entries: Vec<(String, f64)> = Vec::new();
-    let mut workspace = RevisedWorkspace::new();
-    let rules: [(Pricing, DualPricing, &str); 4] = [
-        (Pricing::Partial, DualPricing::Devex, "partial"),
-        (Pricing::Devex, DualPricing::Devex, "devex"),
-        (Pricing::Dantzig, DualPricing::Devex, "dantzig"),
-        (Pricing::Partial, DualPricing::MostViolated, "dual_mv"),
-    ];
-    for size in [400usize, 2000] {
-        let problem = if size == 2000 {
-            bandwidth_scale_instance(0.2, 31)
-        } else {
-            feasible_bandwidth_instance(size, 0.4, 31)
-        };
-        let formulation = build_model(&problem, Policy::Multiple, Integrality::RationalBound);
-        // Untimed warm-up so the first rule doesn't pay the workspace's
-        // one-off buffer growth on this size.
-        workspace.invalidate();
-        solve_lp_revised_reusing(
-            &formulation.model,
-            &SimplexOptions::default(),
-            &mut workspace,
-        );
-        for (pricing, dual_pricing, label) in rules {
-            let options = SimplexOptions {
-                pricing,
-                dual_pricing,
-                ..SimplexOptions::default()
-            };
-            workspace.invalidate();
-            let (ns, solution) = time_once(|| {
-                solve_lp_revised_reusing(&formulation.model, &options, &mut workspace)
-            });
-            if solution.status != Status::Optimal {
-                eprintln!(
-                    "pricing report: s={size} {label} cold solve failed: {}",
-                    solution.status
-                );
-                continue;
-            }
-            let stats = workspace.last_stats();
-            entries.push((format!("pricing/s{size}_{label}_cold_ms"), ns / 1e6));
-            entries.push((
-                format!("pricing/s{size}_{label}_cold_iters"),
-                stats.iterations() as f64,
-            ));
-            entries.push((
-                format!("pricing/s{size}_{label}_cold_flips"),
-                (stats.bound_flips + stats.dual_bound_flips) as f64,
-            ));
-            // Warm sibling: identical matrix, one `<=` right-hand side
-            // relaxed by +1.0 (the `check_budget` sibling pattern;
-            // nudging a demand/flow row can tip the instance
-            // infeasible), so the workspace's basis and factorisation
-            // stay valid and the sibling provably stays feasible.
-            let mut sibling = formulation.model.clone();
-            let id = sibling
-                .constraint_ids()
-                .find(|&id| sibling.constraint(id).cmp == rp_lp::Cmp::Le);
-            let Some(id) = id else {
-                continue;
-            };
-            let rhs = sibling.constraint(id).rhs;
-            sibling.set_rhs(id, rhs + 1.0);
-            let (ns, solution) =
-                time_once(|| solve_lp_revised_reusing(&sibling, &options, &mut workspace));
-            if solution.status != Status::Optimal {
-                eprintln!(
-                    "pricing report: s={size} {label} warm sibling failed: {}",
-                    solution.status
-                );
-                continue;
-            }
-            let stats = workspace.last_stats();
-            entries.push((format!("pricing/s{size}_{label}_warm_ms"), ns / 1e6));
-            entries.push((
-                format!("pricing/s{size}_{label}_warm_iters"),
-                stats.iterations() as f64,
-            ));
-            entries.push((
-                format!("pricing/s{size}_{label}_warm_flips"),
-                (stats.bound_flips + stats.dual_bound_flips) as f64,
-            ));
-        }
-    }
-
-    entries.retain(|(name, value)| {
-        let keep = value.is_finite();
-        if !keep {
-            eprintln!("skipping non-finite metric {name} = {value}");
-        }
-        keep
-    });
-    let mut s = String::new();
-    s.push_str("{\n  \"schema\": 1,\n");
-    s.push_str(
-        "  \"units\": \"*_ms = wall-clock ms (one shot), *_iters = simplex iterations, \
-         *_flips = primal + dual bound flips; cold = fresh workspace, warm = same matrix \
-         with one <= right-hand side relaxed\",\n",
-    );
-    s.push_str("  \"metrics\": {\n");
-    for (i, (name, value)) in entries.iter().enumerate() {
-        let comma = if i + 1 == entries.len() { "" } else { "," };
-        s.push_str(&format!("    \"{name}\": {value:.1}{comma}\n"));
-    }
-    s.push_str("  }\n}\n");
-    std::fs::write(path, &s).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    println!("{s}");
-    eprintln!("wrote {path}");
-}
-
-/// Writes `BENCH_revised.json`: dense-tableau vs revised-simplex
-/// timings, at three levels —
-///
-/// * `lp_solve/*` — the pure solver on a prebuilt Multiple relaxation
-///   with a reused workspace (the `lp_solver` criterion bench's
-///   setting; this is the apples-to-apples engine comparison);
-/// * `lp_rational_bound/*` — the full Section 7.1 bound path
-///   (formulation build + solve), what the sweep actually pays;
-/// * `milp_mixed_bound/*` — the capped mixed bound, where the revised
-///   engine's warm-started branch-and-bound nodes pay off;
-///
-/// plus the paper-scale `s = 400` bound under **both** engines (one
-/// shot each — the dense tableau needs hundreds of milliseconds there,
-/// which is exactly why the revised engine exists).
-fn write_revised_report(path: &str) {
-    use rp_core::ilp::{build_model, Integrality};
-    use rp_core::Policy;
-    use rp_lp::{
-        solve_lp_reusing, solve_lp_revised_reusing, RevisedWorkspace, SimplexOptions,
-        SimplexWorkspace,
-    };
-
-    let mut entries: Vec<(String, f64)> = Vec::new();
-    for size in [20usize, 40, 80, 120] {
-        let problem = bench_instance(size, 0.6, PlatformKind::default_heterogeneous(), 31);
-
-        // Solver-level comparison on the prebuilt relaxation.
-        let formulation = build_model(&problem, Policy::Multiple, Integrality::RationalBound);
-        let options = SimplexOptions::default();
-        let mut dense_ws = SimplexWorkspace::new();
-        let dense_solve = time_ns(|| {
-            black_box(solve_lp_reusing(
-                black_box(&formulation.model),
-                &options,
-                &mut dense_ws,
-            ));
-        });
-        let mut revised_ws = RevisedWorkspace::new();
-        let revised_solve = time_ns(|| {
-            black_box(solve_lp_revised_reusing(
-                black_box(&formulation.model),
-                &options,
-                &mut revised_ws,
-            ));
-        });
-        entries.push((format!("lp_solve/dense/{size}"), dense_solve));
-        entries.push((format!("lp_solve/revised/{size}"), revised_solve));
-        entries.push((
-            format!("speedup/lp_solve/{size}"),
-            dense_solve / revised_solve,
-        ));
-
-        // Full bound path (build + solve).
-        let dense_opts = IlpOptions::with_engine(LpEngine::DenseTableau);
-        let revised_opts = IlpOptions::with_engine(LpEngine::Revised);
-        let dense = time_ns(|| {
-            black_box(lower_bound_with(
-                black_box(&problem),
-                BoundKind::Rational,
-                &dense_opts,
-            ));
-        });
-        let revised = time_ns(|| {
-            black_box(lower_bound_with(
-                black_box(&problem),
-                BoundKind::Rational,
-                &revised_opts,
-            ));
-        });
-        entries.push((format!("lp_rational_bound/dense/{size}"), dense));
-        entries.push((format!("lp_rational_bound/revised/{size}"), revised));
-        entries.push((format!("speedup/lp_rational_bound/{size}"), dense / revised));
-
-        // Warm-started mixed bound (capped) under both engines; the
-        // larger sizes explore enough nodes to show the warm-start win.
-        if size <= 40 {
-            let cap = |engine| IlpOptions {
-                branch_bound: BranchBoundOptions {
-                    max_nodes: 100,
-                    engine,
-                    ..BranchBoundOptions::default()
-                },
-            };
-            let dense_milp = time_ns(|| {
-                black_box(lower_bound_with(
-                    black_box(&problem),
-                    BoundKind::Mixed,
-                    &cap(LpEngine::DenseTableau),
-                ));
-            });
-            let revised_milp = time_ns(|| {
-                black_box(lower_bound_with(
-                    black_box(&problem),
-                    BoundKind::Mixed,
-                    &cap(LpEngine::Revised),
-                ));
-            });
-            entries.push((format!("milp_mixed_bound/dense/{size}"), dense_milp));
-            entries.push((format!("milp_mixed_bound/revised/{size}"), revised_milp));
-            entries.push((
-                format!("speedup/milp_mixed_bound/{size}"),
-                dense_milp / revised_milp,
-            ));
-        }
-    }
-    // Paper scale, one shot per engine.
-    {
-        let problem = paper_scale_instance(PlatformKind::default_heterogeneous(), 0.4, 31);
-        let revised_opts = IlpOptions::with_engine(LpEngine::Revised);
-        let (revised_ns, bound) =
-            time_once(|| lower_bound_with(&problem, BoundKind::Rational, &revised_opts));
-        let dense_opts = IlpOptions::with_engine(LpEngine::DenseTableau);
-        let (dense_ns, _) =
-            time_once(|| lower_bound_with(&problem, BoundKind::Rational, &dense_opts));
-        entries.push(("lp_rational_bound/dense/400_ms".to_string(), dense_ns / 1e6));
-        entries.push((
-            "lp_rational_bound/revised/400_ms".to_string(),
-            revised_ns / 1e6,
-        ));
-        entries.push((
-            "speedup/lp_rational_bound/400".to_string(),
-            dense_ns / revised_ns,
-        ));
-        entries.push((
-            "lp_rational_bound/revised/400_value".to_string(),
-            bound.unwrap_or(f64::NAN),
-        ));
-    }
-
-    // A failed solve or a zero-duration timing would produce NaN/inf,
-    // which are not valid JSON literals — drop such entries instead of
-    // corrupting the whole report.
-    entries.retain(|(name, value)| {
-        let keep = value.is_finite();
-        if !keep {
-            eprintln!("skipping non-finite metric {name} = {value}");
-        }
-        keep
-    });
-    let mut s = String::new();
-    s.push_str("{\n  \"schema\": 1,\n");
-    s.push_str("  \"units\": \"ns per op unless the metric name says otherwise; speedup/* = dense over revised\",\n");
-    s.push_str("  \"metrics\": {\n");
-    for (i, (name, value)) in entries.iter().enumerate() {
-        let comma = if i + 1 == entries.len() { "" } else { "," };
-        s.push_str(&format!("    \"{name}\": {value:.1}{comma}\n"));
-    }
-    s.push_str("  }\n}\n");
-    std::fs::write(path, &s).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    println!("{s}");
-    eprintln!("wrote {path}");
-}
-
-/// A deterministic ill-scaled LP family (dense-ish `≤` rows whose
-/// coefficients span four orders of magnitude): the setting where devex
-/// reference weights separate from Dantzig pricing.
-fn ill_scaled_model(n: usize, m: usize, seed: u64) -> rp_lp::Model {
-    use rp_lp::{lin_sum, Cmp, Model, Sense};
-    let mut state = seed | 1;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    let mut model = Model::new(Sense::Maximize);
-    let vars: Vec<_> = (0..n)
-        .map(|j| {
-            let scale = 10f64.powi((next() % 5) as i32 - 2);
-            let objective = ((next() % 1000) as f64 / 100.0 + 0.1) * scale;
-            model.add_var(
-                format!("x{j}"),
-                0.0,
-                Some(((next() % 90) + 10) as f64),
-                objective,
-            )
-        })
-        .collect();
-    for i in 0..m {
-        let mut terms = vec![];
-        for &v in &vars {
-            if (next() % 100) < 30 {
-                let scale = 10f64.powi((next() % 5) as i32 - 2);
-                terms.push((((next() % 1000) as f64 / 100.0 + 0.05) * scale, v));
-            }
-        }
-        if terms.is_empty() {
-            continue;
-        }
-        let rhs = ((next() % 5000) + 500) as f64 / 10.0;
-        model.add_constraint(format!("c{i}"), lin_sum(terms), Cmp::Le, rhs);
-    }
-    model
-}
-
-/// Writes `BENCH_sparse.json`: the sparse-LU / Forrest–Tomlin / devex
-/// trajectory of the revised engine —
-///
-/// * `lp_solve/{dense,revised}/<s>` — cold engine-to-engine solve
-///   comparison on prebuilt Multiple relaxations (the apples-to-apples
-///   setting `BENCH_revised.json` used, so
-///   `speedup_vs_dense_lu/lp_solve/<s>` can be computed against the
-///   recorded dense-LU numbers when that file is present);
-/// * `lp_resolve_warm/<s>` — the sibling fast path: re-solving the same
-///   matrix after an objective/rhs refresh (refactorisation + cleanup
-///   pivots only), what the λ-sharded sweep pays per sibling trial;
-/// * `iters/{devex,dantzig}/<s>` — simplex iteration counts per pricing
-///   rule at `s = 80..400`, the devex payoff on the degenerate replica
-///   LPs;
-/// * `factor/{m,nnz_l,nnz_u}/<s>`, `factor/refactor_ns/<s>`,
-///   `ftran_ns/<s>`, `btran_ns/<s>` — factor sparsity and the
-///   nnz-scaling of one Markowitz refactorisation and of hyper-sparse
-///   unit solves;
-/// * `lp_rational_bound/revised/{400,2000}_ms` — one-shot paper-scale
-///   and multi-thousand-row bound solves (the dense tableau is not run
-///   at these sizes; the s = 400 reference lives in
-///   `BENCH_revised.json`).
-fn write_sparse_report(path: &str) {
-    use rp_core::ilp::{build_model, Integrality};
-    use rp_core::Policy;
-    use rp_lp::{Pricing, RevisedWorkspace, SimplexOptions, SimplexWorkspace, Status};
-    use rp_workloads::platform::paper_scale_instance_sized;
-
-    let reference = std::fs::read_to_string("BENCH_revised.json")
-        .map(|text| parse_metrics(&text))
-        .unwrap_or_default();
-    let mut entries: Vec<(String, f64)> = Vec::new();
-
-    let devex = SimplexOptions::default();
-    let dantzig = SimplexOptions {
-        pricing: Pricing::Dantzig,
-        ..SimplexOptions::default()
-    };
-
-    for size in [20usize, 40, 80, 120] {
-        let problem = bench_instance(size, 0.6, PlatformKind::default_heterogeneous(), 31);
-        let formulation = build_model(&problem, Policy::Multiple, Integrality::RationalBound);
-        let model = &formulation.model;
-
-        let mut dense_ws = SimplexWorkspace::new();
-        let dense_solve = time_ns(|| {
-            black_box(rp_lp::solve_lp_reusing(
-                black_box(model),
-                &devex,
-                &mut dense_ws,
-            ));
-        });
-        let mut ws = RevisedWorkspace::new();
-        let revised_solve = time_ns(|| {
-            black_box(ws.solve_cold(black_box(model), &devex));
-        });
-        entries.push((format!("lp_solve/dense/{size}"), dense_solve));
-        entries.push((format!("lp_solve/revised/{size}"), revised_solve));
-        entries.push((
-            format!("speedup/lp_solve/{size}"),
-            dense_solve / revised_solve,
-        ));
-        if let Some((_, old)) = reference
-            .iter()
-            .find(|(name, _)| name == &format!("lp_solve/revised/{size}"))
-        {
-            entries.push((
-                format!("speedup_vs_dense_lu/lp_solve/{size}"),
-                old / revised_solve,
-            ));
-        }
-        // The sibling fast path: same matrix, refreshed data.
-        let warm_solve = time_ns(|| {
-            black_box(ws.solve_warm(black_box(model), &devex));
-        });
-        entries.push((format!("lp_resolve_warm/{size}"), warm_solve));
-
-        if size >= 80 {
-            ws.solve_cold(model, &devex);
-            let devex_iters = ws.last_stats().iterations();
-            entries.push((format!("iters/devex/{size}"), devex_iters as f64));
-            let (lnnz, unnz) = ws.factor_nnz();
-            entries.push((format!("factor/m/{size}"), model.num_constraints() as f64));
-            entries.push((format!("factor/nnz_l/{size}"), lnnz as f64));
-            entries.push((format!("factor/nnz_u/{size}"), unnz as f64));
-            let refactor_ns = time_ns(|| {
-                black_box(ws.bench_refactor());
-            });
-            entries.push((format!("factor/refactor_ns/{size}"), refactor_ns));
-            let mut unit = 0usize;
-            let ftran_ns = time_ns(|| {
-                ws.bench_ftran_unit(black_box(unit));
-                unit = unit.wrapping_add(1);
-            });
-            entries.push((format!("ftran_ns/{size}"), ftran_ns));
-            let btran_ns = time_ns(|| {
-                ws.bench_btran_unit(black_box(unit));
-                unit = unit.wrapping_add(1);
-            });
-            entries.push((format!("btran_ns/{size}"), btran_ns));
-            ws.invalidate();
-            ws.solve_cold(model, &dantzig);
-            let dantzig_iters = ws.last_stats().iterations();
-            entries.push((format!("iters/dantzig/{size}"), dantzig_iters as f64));
-        }
-    }
-
-    // Paper scale (s = 400) and a multi-thousand-row scenario — only
-    // the sparse-LU engine is run at these sizes. The `_ms` metric is a
-    // one-shot `lower_bound` (formulation build + solve), matching how
-    // `BENCH_revised.json` recorded the dense-LU engine; `_solve_ms` is
-    // the warm-cache median of the solve alone.
-    for (s, label) in [(400usize, "400"), (2000usize, "2000")] {
-        let problem = paper_scale_instance_sized(s, PlatformKind::default_heterogeneous(), 0.4, 31);
-        let revised_opts = IlpOptions::with_engine(LpEngine::Revised);
-        let (bound_ns, bound) =
-            time_once(|| lower_bound_with(&problem, BoundKind::Rational, &revised_opts));
-        if let Some(bound) = bound {
-            entries.push((
-                format!("lp_rational_bound/revised/{label}_ms"),
-                bound_ns / 1e6,
-            ));
-            entries.push((format!("lp_rational_bound/revised/{label}_bound"), bound));
-        }
-        let formulation = build_model(&problem, Policy::Multiple, Integrality::RationalBound);
-        let model = &formulation.model;
-        let mut ws = RevisedWorkspace::new();
-        let (_, solution) = time_once(|| ws.solve_cold(model, &devex));
-        if solution.status != Status::Optimal {
-            eprintln!("s={s} revised solve failed: {}", solution.status);
-            continue;
-        }
-        let devex_iters = ws.last_stats().iterations();
-        let solve_ns = time_ns(|| {
-            black_box(ws.solve_cold(black_box(model), &devex));
-        });
-        entries.push((format!("lp_solve_ms/revised/{label}"), solve_ns / 1e6));
-        // The sibling fast path the λ-sharded sweep pays: re-solving
-        // the same matrix after a data refresh.
-        ws.solve_cold(model, &devex);
-        let warm_ns = time_ns(|| {
-            black_box(ws.solve_warm(black_box(model), &devex));
-        });
-        entries.push((format!("lp_resolve_warm_ms/{label}"), warm_ns / 1e6));
-        entries.push((format!("speedup/sibling_warm/{label}"), solve_ns / warm_ns));
-        entries.push((
-            format!("lp_rational_bound/revised/{label}_value"),
-            solution.objective,
-        ));
-        entries.push((format!("iters/devex/{label}"), devex_iters as f64));
-        let (lnnz, unnz) = ws.factor_nnz();
-        entries.push((format!("factor/m/{label}"), model.num_constraints() as f64));
-        entries.push((format!("factor/nnz_l/{label}"), lnnz as f64));
-        entries.push((format!("factor/nnz_u/{label}"), unnz as f64));
-        let refactor_ns = time_ns(|| {
-            black_box(ws.bench_refactor());
-        });
-        entries.push((format!("factor/refactor_ns/{label}"), refactor_ns));
-        let mut unit = 0usize;
-        let ftran_ns = time_ns(|| {
-            ws.bench_ftran_unit(black_box(unit));
-            unit = unit.wrapping_add(1);
-        });
-        entries.push((format!("ftran_ns/{label}"), ftran_ns));
-        let btran_ns = time_ns(|| {
-            ws.bench_btran_unit(black_box(unit));
-            unit = unit.wrapping_add(1);
-        });
-        entries.push((format!("btran_ns/{label}"), btran_ns));
-        let (_, dantzig_sol) = time_once(|| ws.solve_cold(model, &dantzig));
-        if dantzig_sol.status == Status::Optimal {
-            entries.push((
-                format!("iters/dantzig/{label}"),
-                ws.last_stats().iterations() as f64,
-            ));
-        }
-        if s == 400 {
-            // Like-for-like against the recorded dense-LU engine: both
-            // sides are one-shot `lower_bound` runs (build + solve).
-            if let Some((_, old_ms)) = reference
-                .iter()
-                .find(|(name, _)| name == "lp_rational_bound/revised/400_ms")
-            {
-                entries.push((
-                    "speedup_vs_dense_lu/lp_rational_bound/400".to_string(),
-                    old_ms / (bound_ns / 1e6),
-                ));
-            }
-        }
-    }
-
-    // Devex vs Dantzig where column norms actually differ: a
-    // deterministic ill-scaled LP family (coefficients spanning four
-    // orders of magnitude). On the near-unimodular replica relaxations
-    // the two rules provably coincide (every tableau entry is ±1, so
-    // the reference weights never leave 1 — see the `iters/*` pairs
-    // above); here devex needs fewer iterations.
-    {
-        let mut devex_total = 0usize;
-        let mut dantzig_total = 0usize;
-        for seed in 1..=8u64 {
-            let model = ill_scaled_model(120, 60, seed * 7919);
-            for (pricing, total) in [
-                (Pricing::Devex, &mut devex_total),
-                (Pricing::Dantzig, &mut dantzig_total),
-            ] {
-                let opts = SimplexOptions {
-                    pricing,
-                    ..SimplexOptions::default()
-                };
-                let mut ws = RevisedWorkspace::new();
-                let solution = ws.solve_cold(&model, &opts);
-                if solution.status == Status::Optimal {
-                    *total += ws.last_stats().iterations();
-                }
-            }
-        }
-        entries.push(("iters/devex/illscaled".to_string(), devex_total as f64));
-        entries.push(("iters/dantzig/illscaled".to_string(), dantzig_total as f64));
-    }
-
-    entries.retain(|(name, value)| {
-        let keep = value.is_finite();
-        if !keep {
-            eprintln!("skipping non-finite metric {name} = {value}");
-        }
-        keep
-    });
-    let mut s = String::new();
-    s.push_str("{\n  \"schema\": 1,\n");
-    s.push_str("  \"units\": \"ns per op unless the metric name says otherwise; speedup_vs_dense_lu/* = PR2 dense-LU revised engine over this sparse-LU engine\",\n");
-    s.push_str("  \"metrics\": {\n");
-    for (i, (name, value)) in entries.iter().enumerate() {
-        let comma = if i + 1 == entries.len() { "" } else { "," };
-        s.push_str(&format!("    \"{name}\": {value:.1}{comma}\n"));
-    }
-    s.push_str("  }\n}\n");
-    std::fs::write(path, &s).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    println!("{s}");
-    eprintln!("wrote {path}");
-}
-
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut output = String::from("BENCH_baseline.json");
-    let mut revised_output = String::from("BENCH_revised.json");
-    let mut sparse_output = String::from("BENCH_sparse.json");
-    let mut scenarios_output = String::from("BENCH_scenarios.json");
-    let mut heuristics_output = String::from("BENCH_heuristics.json");
-    let mut failures_output = String::from("BENCH_failures.json");
-    let mut online_output = String::from("BENCH_online.json");
-    let mut obs_output = String::from("BENCH_obs.json");
-    let mut pricing_output = String::from("BENCH_pricing.json");
-    let mut compare: Option<String> = None;
-    let mut sparse_only = false;
-    let mut scenarios_only = false;
-    let mut heuristics_only = false;
-    let mut failures_only = false;
-    let mut online_only = false;
-    let mut obs_only = false;
-    let mut pricing_only = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--compare" => {
-                compare = args.get(i + 1).cloned();
-                i += 2;
-            }
-            "--smoke-revised" => {
-                smoke_revised();
-                return;
-            }
-            "--smoke-bandwidth" => {
-                smoke_bandwidth();
-                return;
-            }
-            "--smoke-heuristics" => {
-                smoke_heuristics();
-                return;
-            }
-            "--smoke-failures" => {
-                smoke_failures();
-                return;
-            }
-            "--smoke-online" => {
-                smoke_online();
-                return;
-            }
-            "--smoke-obs" => {
-                smoke_obs();
-                return;
-            }
-            "--smoke-pricing" => {
-                smoke_pricing();
-                return;
-            }
-            "--check-budget" => {
-                // Up to two operands, in either order: a budget file
-                // (recognised by its `.toml` suffix, default
-                // `perf-budget.toml`) and a section filter
-                // (`--check-budget lp` re-measures only `[lp]`).
-                let mut path: Option<String> = None;
-                let mut filter: Option<String> = None;
-                for arg in args.iter().skip(i + 1).take(2) {
-                    if arg.starts_with("--") {
-                        break;
-                    }
-                    if arg.ends_with(".toml") {
-                        path = Some(arg.clone());
-                    } else {
-                        filter = Some(arg.clone());
-                    }
-                }
-                let path = path.unwrap_or_else(|| "perf-budget.toml".to_string());
-                check_budget(&path, filter.as_deref());
-                return;
-            }
-            "--obs-diff" => {
-                let old_path = args.get(i + 1).filter(|p| !p.starts_with("--")).cloned();
-                let new_path = args.get(i + 2).filter(|p| !p.starts_with("--")).cloned();
-                let Some(old_path) = old_path else {
-                    eprintln!("--obs-diff needs at least one snapshot path (old [new])");
-                    std::process::exit(1);
-                };
-                obs_diff(&old_path, new_path.as_deref());
-                return;
-            }
-            "--sparse-only" => {
-                sparse_only = true;
-                i += 1;
-            }
-            "--scenarios-only" => {
-                scenarios_only = true;
-                i += 1;
-            }
-            "--heuristics-only" => {
-                heuristics_only = true;
-                i += 1;
-            }
-            "--failures-only" => {
-                failures_only = true;
-                i += 1;
-            }
-            "--online-only" => {
-                online_only = true;
-                i += 1;
-            }
-            "--obs-only" => {
-                obs_only = true;
-                i += 1;
-            }
-            "--pricing-only" => {
-                pricing_only = true;
-                i += 1;
-            }
-            "--pricing-out" => {
-                if let Some(path) = args.get(i + 1) {
-                    pricing_output = path.clone();
-                }
-                i += 2;
-            }
-            "--obs-out" => {
-                if let Some(path) = args.get(i + 1) {
-                    obs_output = path.clone();
-                }
-                i += 2;
-            }
-            "--revised-out" => {
-                if let Some(path) = args.get(i + 1) {
-                    revised_output = path.clone();
-                }
-                i += 2;
-            }
-            "--sparse-out" => {
-                if let Some(path) = args.get(i + 1) {
-                    sparse_output = path.clone();
-                }
-                i += 2;
-            }
-            "--scenarios-out" => {
-                if let Some(path) = args.get(i + 1) {
-                    scenarios_output = path.clone();
-                }
-                i += 2;
-            }
-            "--heuristics-out" => {
-                if let Some(path) = args.get(i + 1) {
-                    heuristics_output = path.clone();
-                }
-                i += 2;
-            }
-            "--failures-out" => {
-                if let Some(path) = args.get(i + 1) {
-                    failures_output = path.clone();
-                }
-                i += 2;
-            }
-            "--online-out" => {
-                if let Some(path) = args.get(i + 1) {
-                    online_output = path.clone();
-                }
-                i += 2;
-            }
-            other => {
-                output = other.to_string();
-                i += 1;
-            }
-        }
-    }
-    if sparse_only {
-        write_sparse_report(&sparse_output);
-        return;
-    }
-    if scenarios_only {
-        write_scenarios_report(&scenarios_output);
-        return;
-    }
-    if heuristics_only {
-        write_heuristics_report(&heuristics_output);
-        return;
-    }
-    if failures_only {
-        write_failures_report(&failures_output);
-        return;
-    }
-    if online_only {
-        write_online_report(&online_output);
-        return;
-    }
-    if obs_only {
-        write_obs_report(&obs_output);
-        return;
-    }
-    if pricing_only {
-        write_pricing_report(&pricing_output);
-        return;
-    }
-
-    let mut metrics: Vec<(String, f64)> = Vec::new();
-
-    // ---- Heuristics and the full MixedBest sweep. ----
-    for (platform, platform_name) in [
-        (PlatformKind::default_homogeneous(), "homogeneous"),
-        (PlatformKind::default_heterogeneous(), "heterogeneous"),
-    ] {
-        for &size in &MICRO_SIZES {
-            let problem = bench_instance(size, 0.5, platform, 1234 + size as u64);
-            for heuristic in Heuristic::BASE {
-                let ns = time_ns(|| {
-                    black_box(heuristic.run(black_box(&problem)));
-                });
-                metrics.push((
-                    format!("heuristic/{}/{platform_name}/{size}", heuristic.acronym()),
-                    ns,
-                ));
-            }
-            let ns = time_ns(|| {
-                black_box(Heuristic::MixedBest.run(black_box(&problem)));
-            });
-            metrics.push((format!("full_sweep/{platform_name}/{size}"), ns));
-            let allocs = allocs_per_call(|| {
-                black_box(Heuristic::MixedBest.run(black_box(&problem)));
-            });
-            metrics.push((format!("allocs/full_sweep/{platform_name}/{size}"), allocs));
-
-            // The pooled driver the parallel sweep pins per worker: the
-            // incumbent and every heuristic buffer are reused, so the
-            // steady state must be allocation-free.
-            let mut pooled = MixedBest::new();
-            let allocs = allocs_per_call(|| {
-                black_box(pooled.full_sweep(black_box(&problem)));
-            });
-            metrics.push((
-                format!("allocs/full_sweep_pooled/{platform_name}/{size}"),
-                allocs,
-            ));
-
-            // Steady-state inner loops: one reused state, reset between
-            // runs. This is the path MixedBest drives; it must not
-            // allocate at all once the buffers are warm.
-            let mut state = HeuristicState::new(&problem);
-            for heuristic in Heuristic::BASE {
-                let allocs = allocs_per_call(|| {
-                    state.reset();
-                    black_box(heuristic.run_with(&mut state));
-                });
-                metrics.push((
-                    format!(
-                        "allocs/heuristic_steady/{}/{platform_name}/{size}",
-                        heuristic.acronym()
-                    ),
-                    allocs,
-                ));
-            }
-        }
-    }
-
-    // ---- Traversal primitives. ----
-    for &size in &MICRO_SIZES {
-        let problem = bench_instance(size, 0.5, PlatformKind::default_homogeneous(), 99);
-        let tree = problem.tree();
-        let ns = time_ns(|| {
-            let mut acc = 0usize;
-            for client in tree.client_ids() {
-                for node in tree.ancestors_of_client(client) {
-                    acc += node.index();
-                }
-            }
-            black_box(acc);
-        });
-        metrics.push((format!("ancestors_pass/{size}"), ns));
-        let allocs = allocs_per_call(|| {
-            let mut acc = 0usize;
-            for client in tree.client_ids() {
-                for node in tree.ancestors_of_client(client) {
-                    acc += node.index();
-                }
-            }
-            black_box(acc);
-        });
-        metrics.push((format!("allocs/ancestors_pass/{size}"), allocs));
-
-        let nodes: Vec<_> = tree.node_ids().collect();
-        let ns = time_ns(|| {
-            let mut hits = 0usize;
-            for &a in &nodes {
-                for &b in &nodes {
-                    hits += usize::from(tree.node_is_ancestor_or_self(a, b));
-                }
-            }
-            black_box(hits);
-        });
-        metrics.push((format!("ancestor_check_pass/{size}"), ns));
-    }
-
-    // ---- LP lower bounds. ----
-    for size in [20usize, 40] {
-        let problem = bench_instance(size, 0.6, PlatformKind::default_heterogeneous(), 31);
-        let ns = time_ns(|| {
-            black_box(lower_bound(black_box(&problem), BoundKind::Rational));
-        });
-        metrics.push((format!("lp_rational_bound/{size}"), ns));
-    }
-    {
-        let problem = bench_instance(20, 0.6, PlatformKind::default_heterogeneous(), 31);
-        let capped = IlpOptions {
-            branch_bound: BranchBoundOptions {
-                max_nodes: 100,
-                ..BranchBoundOptions::default()
-            },
-        };
-        let ns = time_ns(|| {
-            black_box(lower_bound_with(
-                black_box(&problem),
-                BoundKind::Mixed,
-                &capped,
-            ));
-        });
-        metrics.push(("milp_mixed_bound/20".to_string(), ns));
-    }
-
-    // ---- End-to-end sweep throughput. ----
-    {
-        let mut config = ExperimentConfig::smoke_test();
-        config.threads = Some(1);
-        let t = Instant::now();
-        let results = run_sweep(&config);
-        let elapsed = t.elapsed();
-        let trees: usize = config.lambdas.len() * config.trees_per_lambda;
-        black_box(&results);
-        metrics.push(("sweep_smoke_ms".to_string(), elapsed.as_secs_f64() * 1e3));
-        metrics.push((
-            "sweep_trees_per_sec".to_string(),
-            trees as f64 / elapsed.as_secs_f64(),
-        ));
-    }
-
-    let old_metrics = compare.as_deref().map(|path| {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("cannot read comparison file {path}: {e}"));
-        parse_metrics(&text)
-    });
-
-    let json = render_json(&metrics, compare.as_deref(), old_metrics.as_deref());
-    std::fs::write(&output, &json).unwrap_or_else(|e| panic!("cannot write {output}: {e}"));
-    println!("{json}");
-    eprintln!("wrote {output}");
-
-    write_revised_report(&revised_output);
-    write_sparse_report(&sparse_output);
-    write_scenarios_report(&scenarios_output);
-    write_heuristics_report(&heuristics_output);
-    write_failures_report(&failures_output);
-    write_online_report(&online_output);
-    write_obs_report(&obs_output);
-    write_pricing_report(&pricing_output);
-}
-
-/// Extracts the flat `"name": value` pairs of a previous baseline file.
-/// Only understands the format written by `render_json` — fine, since we
-/// control both ends.
-fn parse_metrics(text: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    let Some(start) = text.find("\"metrics\": {") else {
-        return out;
-    };
-    let body = &text[start + "\"metrics\": {".len()..];
-    let Some(end) = body.find('}') else {
-        return out;
-    };
-    for line in body[..end].lines() {
-        let line = line.trim().trim_end_matches(',');
-        let Some((key, value)) = line.split_once(':') else {
-            continue;
-        };
-        let key = key.trim().trim_matches('"');
-        if let Ok(v) = value.trim().parse::<f64>() {
-            out.push((key.to_string(), v));
-        }
-    }
-    out
-}
-
-fn render_json(
-    metrics: &[(String, f64)],
-    compare_path: Option<&str>,
-    old: Option<&[(String, f64)]>,
-) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    s.push_str("  \"schema\": 1,\n");
-    s.push_str("  \"units\": \"ns per op unless the metric name says otherwise\",\n");
-    s.push_str("  \"metrics\": {\n");
-    for (i, (name, value)) in metrics.iter().enumerate() {
-        let comma = if i + 1 == metrics.len() { "" } else { "," };
-        s.push_str(&format!("    \"{name}\": {value:.1}{comma}\n"));
-    }
-    s.push_str("  }");
-    if let (Some(path), Some(old)) = (compare_path, old) {
-        s.push_str(",\n  \"compare\": {\n");
-        s.push_str(&format!("    \"baseline_file\": \"{path}\",\n"));
-        s.push_str("    \"speedup\": {\n");
-        let shared: Vec<_> = metrics
-            .iter()
-            .filter_map(|(name, new_value)| {
-                old.iter()
-                    .find(|(old_name, _)| old_name == name)
-                    .map(|(_, old_value)| {
-                        // Most metrics are times (lower is better):
-                        // speedup = old / new. Throughput metrics are the
-                        // other way around.
-                        let ratio = if name.ends_with("per_sec") {
-                            new_value / old_value.max(1e-9)
-                        } else {
-                            old_value / new_value.max(1e-9)
-                        };
-                        (name, ratio)
-                    })
-            })
-            .collect();
-        for (i, (name, ratio)) in shared.iter().enumerate() {
-            let comma = if i + 1 == shared.len() { "" } else { "," };
-            s.push_str(&format!("      \"{name}\": {ratio:.2}{comma}\n"));
-        }
-        s.push_str("    }\n  }");
-    }
-    s.push_str("\n}\n");
-    s
 }
 
 #[cfg(test)]
@@ -2894,6 +1128,39 @@ mod tests {
                 ("obs".to_string(), "obs_phase_coverage_min".to_string(), 0.8),
             ]
         );
-        assert_eq!(budget_value(&budget, "obs_phase_coverage_min"), 0.8);
+        assert_eq!(
+            budget_bound(&budget, "obs", "obs_phase_coverage_min"),
+            Some(0.8)
+        );
+        assert_eq!(budget_bound(&budget, "lp", "obs_phase_coverage_min"), None);
+    }
+
+    const CHECKED_IN: &str = include_str!("../../../../perf-budget.toml");
+
+    #[test]
+    fn checked_in_budget_bounds_exactly_the_gate_rows() {
+        let budget = parse_budget(CHECKED_IN);
+        assert_eq!(budget_mismatches(&budget), Vec::<String>::new());
+        assert_eq!(budget.len(), ROWS.len());
+    }
+
+    #[test]
+    fn budget_mismatches_are_named_both_ways() {
+        // A misspelt key: the file bounds a row the table lacks, and the
+        // row it meant is left unbounded.
+        let misspelt = CHECKED_IN.replace("s2000_bound_ms", "s2000_bound_mss");
+        let mismatches = budget_mismatches(&parse_budget(&misspelt));
+        assert_eq!(mismatches.len(), 2, "{mismatches:?}");
+        assert!(mismatches[0].contains("[lp] s2000_bound_mss` bounds no gate row"));
+        assert!(mismatches[1].contains("[lp] s2000_bound_ms` has no bound"));
+        // A key moved to the wrong section, and one given twice.
+        let moved = CHECKED_IN.replace("[warm]", "[lp]");
+        assert!(!budget_mismatches(&parse_budget(&moved)).is_empty());
+        let twice = format!("{CHECKED_IN}\n[lp]\ns400_bound_ms = 1.0\n");
+        let mismatches = budget_mismatches(&parse_budget(&twice));
+        assert!(
+            mismatches.iter().any(|m| m.contains("more than once")),
+            "{mismatches:?}"
+        );
     }
 }

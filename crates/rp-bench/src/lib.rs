@@ -5,11 +5,12 @@
 //! * `benches/` — criterion benchmarks: one scaled-down sweep per figure
 //!   plus micro-benchmarks of the heuristics, the exact algorithms and
 //!   the LP solver;
-//! * `src/bin/baseline.rs` — the machine-readable perf snapshots
-//!   (`BENCH_*.json`), the CI smoke gates (`--smoke-revised`,
-//!   `--smoke-bandwidth`, `--smoke-heuristics`, `--smoke-failures`,
-//!   `--smoke-obs`) and the `perf-budget.toml` regression gate
-//!   (`--check-budget`).
+//! * `src/bin/baseline.rs` — the CI gate table (`--check-budget`: one
+//!   row per measurement, each bounded in `perf-budget.toml`), the
+//!   obs-diff attribution tool (`--obs-diff`) and the `BENCH_obs.json`
+//!   reference snapshot (`--obs-out`);
+//! * `tests/alloc_free.rs` — asserts the allocation-free steady state
+//!   of the heuristics, the pooled sweep and the ancestor walk.
 //!
 //! This crate contains shared helpers for the benchmarks.
 //!
@@ -59,8 +60,8 @@
 //! a solve slower than 8× the running median, a dense-oracle
 //! escalation, or an rp-online rollback. Set `RP_FLIGHT_DUMP` to a
 //! path (with at least `RP_OBS=counters`) and the latest dump lands
-//! there; the perf-budget gate also writes one as
-//! `obs-breach.flight.jsonl` on any breach. Force one on demand with a
+//! there; the gate table also writes one, taken as the first failing
+//! row left the ring, as `obs-breach.flight.jsonl`. Force one on demand with a
 //! deliberately impossible per-apply budget:
 //!
 //! ```text
@@ -100,13 +101,13 @@
 //! The top movers *are* the attribution: a wall-time regression with
 //! `lp.refactor.count` and `lp.phase.factorise_ns` leading the list is
 //! a factorisation-stability problem, one led by `lp.queue.rebuilds`
-//! and `lp.phase.pricing_ns` is a pricing problem. The perf-budget
-//! gate prints exactly this report (against the checked-in
-//! `BENCH_obs.json`) whenever a ceiling is breached, and saves it as
+//! and `lp.phase.pricing_ns` is a pricing problem. The gate table
+//! prints exactly this report (against the checked-in
+//! `BENCH_obs.json`) whenever a row fails, and saves it as
 //! `obs-breach.diff.txt` next to `obs-breach.metrics.json` and
 //! `obs-breach.flight.jsonl`. Re-measure just the breached section
-//! with a filter: `--check-budget lp` (or `warm` / `hardened` /
-//! `obs`).
+//! with a filter: `--check-budget lp` (or any other `[section]` of
+//! `perf-budget.toml`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

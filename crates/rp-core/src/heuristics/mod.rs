@@ -194,8 +194,8 @@ impl std::fmt::Display for Heuristic {
 /// on the first encounter with a larger problem, and the incumbent is
 /// updated in place with [`Placement::copy_from`] instead of being
 /// cloned per improvement. This is the per-worker unit the parallel
-/// sweep pins to each thread (`allocs/full_sweep_pooled/*` in
-/// `BENCH_baseline.json` measures the O(1) claim).
+/// sweep pins to each thread (`rp-bench`'s `alloc_free` test asserts
+/// the O(1) claim).
 #[derive(Default)]
 pub struct MixedBest {
     buffers: StateBuffers,

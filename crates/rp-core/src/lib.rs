@@ -50,9 +50,10 @@
 //!   `rp-tree`'s lazy iterators and O(1) ancestor/distance checks; no
 //!   inner loop materialises a path `Vec`.
 //!
-//! `rp-bench`'s `heuristics_micro` bench and the `baseline` binary
-//! measure both the speedups and the zero-allocation property
-//! (`allocs/heuristic_steady/* == 0` in `BENCH_baseline.json`).
+//! `rp-bench`'s `heuristics_micro` bench measures the speedups, and its
+//! `alloc_free` integration test asserts the zero-allocation property
+//! (no heap allocation per steady-state heuristic run on a reused
+//! `HeuristicState`).
 //!
 //! ```
 //! use rp_core::{Heuristic, Policy, ProblemInstance};

@@ -14,10 +14,11 @@
 //! * incumbent verification after **every** apply — the engine runs at
 //!   [`Paranoia::Full`] and the aggregate
 //!   [`unverified`](ChurnPolicyOutcome::unverified) count must be
-//!   zero, which the chaos harness and `--smoke-online` assert.
+//!   zero, which the chaos harness and the `[online]` row of the
+//!   `rp-bench` gate table assert.
 //!
-//! `reproduce churn` renders the summary as a markdown table; the
-//! baseline binary records the same numbers in `BENCH_online.json`.
+//! `reproduce churn` renders the summary as a markdown table and exits
+//! non-zero on any unverified incumbent (CI runs the `s = 2000` sweep).
 
 use std::time::{Duration, Instant};
 

@@ -28,8 +28,7 @@
 //! solve rides the same warm workspace.
 //!
 //! `reproduce bandwidth` / `reproduce multi` render these sweeps as
-//! markdown tables; the baseline binary records the same numbers in
-//! `BENCH_scenarios.json` / `BENCH_heuristics.json`.
+//! markdown tables.
 
 use rp_core::heuristics::lp_guided::{lp_guided_multi_reusing, lp_guided_reusing, BandwidthRepair};
 use rp_core::ilp::{build_model, build_multi_model, IlpOptions, Integrality};
@@ -670,7 +669,8 @@ mod tests {
         // without equilibration, and the pass costs iterations — see
         // `AUTO_SPREAD`), so neither family scales under the default
         // options; the forced-geometric path is pinned by the rp-lp
-        // unit tests and the `--smoke-bandwidth` CI gate instead.
+        // unit tests and the gate table's `[lp] s120_ill_scaled_ms` row
+        // instead.
         for family in [
             ScenarioFamily::BandwidthIllScaled,
             ScenarioFamily::Bandwidth,

@@ -79,9 +79,9 @@
 //!   proptests pin all of them to the same objective. (On the replica
 //!   relaxations themselves the constraint matrices are near-unimodular
 //!   — every tableau entry is ±1 — so the devex weights provably stay
-//!   at 1 and devex coincides with Dantzig; `BENCH_sparse.json` records
-//!   both this equality and the devex win on an ill-scaled family, and
-//!   `BENCH_pricing.json` tracks every rule pair at `s = 400/2000`.)
+//!   at 1 and devex coincides with Dantzig; `rp-bench`'s `lp_solver`
+//!   bench times the two, and its gate table checks three rule pairs
+//!   against the dense oracle at `s = 400`.)
 //! * **Dual cold start, dual devex and the bound-flipping ratio test**
 //!   — when the phase-2 costs are already dual feasible at the bound
 //!   point (true of all the min-cost replica relaxations), the solve
@@ -144,8 +144,8 @@
 //! independently implemented opinion — the property tests in
 //! `tests/proptest_revised_equivalence.rs` pin the two engines (and
 //! every pricing rule, presolve on/off, and warm vs cold paths) to each
-//! other on random bounded LPs, and `rp-bench`'s `BENCH_revised.json` /
-//! `BENCH_sparse.json` track the speedups.
+//! other on random bounded LPs, and `rp-bench`'s `lp_solver` bench
+//! times the speedups.
 //!
 //! ```
 //! use rp_lp::{Model, LinExpr, Cmp, Sense, solve_milp};

@@ -237,8 +237,8 @@ impl WarmStart {
 
 /// Counters describing the most recent solve of a
 /// [`RevisedWorkspace`] — what the iteration-count benchmarks (devex vs
-/// Dantzig), the `BENCH_sparse.json` report and the `rp-obs` registry
-/// read out.
+/// Dantzig), the `rp-bench` gate table and the `rp-obs` registry read
+/// out.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SolveStats {
     /// Primal simplex basis changes (phases 1 and 2 combined).

@@ -33,8 +33,8 @@
 //!   `*_vec` variants exist where a collected `Vec` is genuinely wanted.
 //!
 //! The extra build-time cost is three linear passes; the payoff is that
-//! the solver inner loops in `rp-core` run allocation-free (verified by
-//! `rp-bench`'s micro-benchmarks and `BENCH_baseline.json`).
+//! the solver inner loops in `rp-core` run allocation-free (asserted by
+//! `rp-bench`'s `alloc_free` test).
 //!
 //! ```
 //! use rp_tree::{TreeBuilder, TreeStats};

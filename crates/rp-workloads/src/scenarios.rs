@@ -121,9 +121,9 @@ pub fn bandwidth_instance(problem_size: usize, lambda: f64, seed: u64) -> Proble
 /// A bandwidth-constrained instance whose links are guaranteed slack
 /// enough (headroom in `[1.0, 2.0]`) that feasibility matches the
 /// unconstrained instance — the link rows are present and shape the LP,
-/// but a λ-feasible workload stays solvable. The `BENCH_scenarios.json`
-/// timings use this family so every recorded solve completed; it is
-/// also the well-scaled counterpart of
+/// but a λ-feasible workload stays solvable. The `rp-bench` gate table
+/// times this family so every measured solve completes; it is also the
+/// well-scaled counterpart of
 /// [`ill_scaled_bandwidth_instance`] (same links, default platform).
 pub fn feasible_bandwidth_instance(problem_size: usize, lambda: f64, seed: u64) -> ProblemInstance {
     let base = base_instance(
