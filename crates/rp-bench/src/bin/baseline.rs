@@ -372,7 +372,6 @@ fn s400_full_phase_coverage(instances: &Instances) -> Result<f64, String> {
             100.0 * coverage
         ));
     }
-    // Exporting flushes this thread's buffered spans, so it comes first.
     for (what, text, key) in [
         ("trace", rp_obs::chrome_trace_json(), "\"traceEvents\""),
         ("metrics", rp_obs::metrics_json(), "\"counters\""),
@@ -405,10 +404,7 @@ fn s400_full_phase_coverage(instances: &Instances) -> Result<f64, String> {
             registry.histogram(HistId::LpSolveUs).count(),
         ),
         ("lp.warm.* (classified)", warm_classified),
-        (
-            "trace events (exported)",
-            rp_obs::trace_event_count() as u64,
-        ),
+        ("trace events", rp_obs::trace_event_count() as u64),
     ] {
         if value == 0 {
             return Err(format!("{name} is zero after an instrumented s=400 solve"));

@@ -16,10 +16,14 @@
 //! constraints included. The pipeline here turns that fractional
 //! guidance into feasible integral placements:
 //!
-//! 1. **Extract** ([`crate::ilp::lower_bound_fractional_reusing`],
-//!    [`crate::ilp::multi_lower_bound_fractional_reusing`]) — solve the
-//!    rational relaxation and keep the full fractional point instead of
-//!    just its objective.
+//! 1. **Extract** ([`crate::ilp::fractional_from`],
+//!    [`crate::ilp::multi_fractional_from`]) — read the full fractional
+//!    point of a solved rational relaxation instead of just its
+//!    objective. A caller that already solved the relaxation for its
+//!    bound (the scenario sweep) rounds from that solve; the
+//!    `*_reusing` drivers build and solve it first
+//!    ([`crate::ilp::lower_bound_fractional_reusing`],
+//!    [`crate::ilp::multi_lower_bound_fractional_reusing`]).
 //! 2. **Round** ([`lp_guided`], [`lp_guided_multi`]) — a two-strategy
 //!    portfolio (commit to the LP's replica set and fill it bottom-up
 //!    within the LP's load budgets, or copy the ceilinged fractional
@@ -68,6 +72,8 @@ pub mod multi;
 pub mod repair;
 pub mod rounding;
 
-pub use multi::{lp_guided_multi, lp_guided_multi_reusing, lp_guided_multi_with};
+pub use multi::{
+    lp_guided_multi, lp_guided_multi_reusing, lp_guided_multi_with, round_multi_fractional,
+};
 pub use repair::{repair_bandwidth, BandwidthRepair, RunnableHeuristic};
-pub use rounding::{lp_guided, lp_guided_reusing, lp_guided_with};
+pub use rounding::{lp_guided, lp_guided_reusing, lp_guided_with, round_fractional};

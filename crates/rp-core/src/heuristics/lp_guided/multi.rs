@@ -35,9 +35,12 @@ pub fn lp_guided_multi_with(
     lp_guided_multi_reusing(problem, options, &mut workspace)
 }
 
-/// [`lp_guided_multi`] reusing the LP buffers of `workspace`. Returns
-/// `None` when the shared relaxation is infeasible or the rounding
-/// cannot serve every request of every object.
+/// [`lp_guided_multi`] reusing the LP buffers of `workspace`: builds
+/// and solves the shared relaxation, then [`round_multi_fractional`]s
+/// it (a caller holding the solved relaxation rounds
+/// [`crate::ilp::multi_fractional_from`] directly). Returns `None` when
+/// the shared relaxation is infeasible or the rounding cannot serve
+/// every request of every object.
 pub fn lp_guided_multi_reusing(
     problem: &MultiObjectProblem,
     options: &IlpOptions,

@@ -56,8 +56,11 @@ pub fn lp_guided_with(problem: &ProblemInstance, options: &IlpOptions) -> Option
 }
 
 /// [`lp_guided`] reusing the LP buffers of `workspace` — the path the
-/// scenario sweep drives, one workspace per worker. Returns `None` when
-/// the relaxation is infeasible (no policy has a solution) or the
+/// online engine's LP rung and `MixedBest::full_sweep_lp_guided` drive.
+/// Builds and solves the relaxation, then [`round_fractional`]s it; a
+/// caller that already holds the solved relaxation rounds
+/// [`crate::ilp::fractional_from`] directly instead. Returns `None`
+/// when the relaxation is infeasible (no policy has a solution) or the
 /// rounding cannot serve every request.
 pub fn lp_guided_reusing(
     problem: &ProblemInstance,

@@ -11,7 +11,7 @@ pub use multi_formulation::{build_multi_model, MultiIlpFormulation};
 
 use rp_lp::{
     solve_lp_engine, solve_milp_reusing, solve_milp_with, BranchBoundOptions, LpEngine,
-    LpWorkspace, SimplexOptions, Status,
+    LpWorkspace, SimplexOptions, Solution, Status,
 };
 
 use crate::multi::MultiObjectProblem;
@@ -216,8 +216,10 @@ pub fn lower_bound_fractional(
     lower_bound_fractional_reusing(problem, options, &mut workspace)
 }
 
-/// [`lower_bound_fractional`] reusing the LP buffers of `workspace` —
-/// the path the scenario sweep drives, one workspace per worker.
+/// [`lower_bound_fractional`] reusing the LP buffers of `workspace`:
+/// build, solve, then [`fractional_from`]. The online engine's LP rung
+/// and `MixedBest::full_sweep_lp_guided` reach it through
+/// [`crate::heuristics::lp_guided::lp_guided_reusing`].
 pub fn lower_bound_fractional_reusing(
     problem: &ProblemInstance,
     options: &IlpOptions,
@@ -230,6 +232,15 @@ pub fn lower_bound_fractional_reusing(
         &options.branch_bound.simplex,
         workspace,
     );
+    fractional_from(&formulation, &solution)
+}
+
+/// Reads the fractional optimum out of an already solved rational
+/// relaxation of `formulation` — the extraction half of
+/// [`lower_bound_fractional_reusing`], for callers that keep the bound
+/// solve's [`Solution`] and round from it without solving again.
+/// Returns `None` unless the solve reached [`Status::Optimal`].
+pub fn fractional_from(formulation: &IlpFormulation, solution: &Solution) -> Option<FractionalLp> {
     if solution.status != Status::Optimal {
         return None;
     }
@@ -291,6 +302,16 @@ pub fn multi_lower_bound_fractional_reusing(
         &options.branch_bound.simplex,
         workspace,
     );
+    multi_fractional_from(&formulation, &solution)
+}
+
+/// The multi-object twin of [`fractional_from`]: reads the fractional
+/// optimum out of an already solved relaxation of `formulation`.
+/// Returns `None` unless the solve reached [`Status::Optimal`].
+pub fn multi_fractional_from(
+    formulation: &MultiIlpFormulation,
+    solution: &Solution,
+) -> Option<MultiFractionalLp> {
     if solution.status != Status::Optimal {
         return None;
     }

@@ -32,6 +32,12 @@
 //! with the bound-flipping ratio test. The basis is refactorised every
 //! [`REFACTOR_EVERY`] updates — and the basic values recomputed from
 //! the right-hand side — to keep the product form numerically honest.
+//!
+//! Points are read from a fresh factorisation of the final basis, so a
+//! zero-pivot warm re-solve returns the same bits as the solve that
+//! found the basis. A warm solve that proves infeasibility leaves the
+//! stored basis as it found it: the next solve starts from the last
+//! extracted basis, and solving the same model again repeats it.
 
 mod basis;
 mod factor;
@@ -98,7 +104,17 @@ fn effective_pricing(model: &Model, options: &SimplexOptions) -> Pricing {
 pub struct RevisedWorkspace {
     form: StandardForm,
     basis: BasisState,
+    /// The column statuses and basic header a warm solve started from,
+    /// put back when that solve proves the model infeasible.
+    warm_entry: BasisState,
+    /// `stats.iterations()` when the basic values were last recomputed
+    /// from a fresh factorisation (see [`RevisedWorkspace::extract`]).
+    recomputed_at: usize,
     factor: Factorization,
+    /// Whether `factor` holds an update-free LU of the current basic
+    /// header: exactly what [`RevisedWorkspace::refactor`] would build,
+    /// so a warm start may reuse it instead of refactorising.
+    factor_fresh: bool,
     presolve: Presolve,
     /// Whether `form` is the presolved reduction of the last model.
     presolved: bool,
@@ -213,7 +229,8 @@ pub enum WarmStart {
     /// mid-solve fallback after the warm cleanup stalled.
     #[default]
     Cold,
-    /// The warm path answered with only the entry refactorisation.
+    /// The warm path answered with no refactorisation beyond the entry
+    /// one (skipped when the stored factors are current).
     WarmHit,
     /// The warm path answered but needed further refactorisations along
     /// the way.
@@ -381,7 +398,13 @@ impl RevisedWorkspace {
                 _ => {}
             }
         }
-        let warm_refac_ok = {
+        // The matrix is unchanged, so when the stored LU is the one the
+        // last extraction built for this basis it is reused as is; only
+        // the basic values follow the new right-hand side and bounds.
+        let warm_refac_ok = if self.factor_fresh {
+            self.recompute_basic();
+            true
+        } else {
             let _t = rp_obs::phase_timer(rp_obs::Phase::Factorise);
             self.refactor_and_recompute()
         };
@@ -393,11 +416,19 @@ impl RevisedWorkspace {
         // refactorisations prove necessary). Mid-solve cold fallbacks
         // below reset the stats, reverting the classification to cold.
         self.stats.warm = WarmStart::WarmHit;
+        self.warm_entry.status.clone_from(&self.basis.status);
+        self.warm_entry.basic.clone_from(&self.basis.basic);
         match self.dual_loop(options) {
             DualOutcome::PrimalFeasible => {}
             DualOutcome::Infeasible => {
-                // Dual unbounded ⇒ primal infeasible. The basis stays
-                // warm for the next sibling node.
+                // Dual unbounded ⇒ primal infeasible. The next sibling
+                // warm-starts from the basis this solve started from,
+                // not from wherever the dual ratio test gave up, so the
+                // stored basis stays the last extracted one and a
+                // re-solve of this model repeats this solve exactly.
+                std::mem::swap(&mut self.basis.status, &mut self.warm_entry.status);
+                std::mem::swap(&mut self.basis.basic, &mut self.warm_entry.basic);
+                self.factor_fresh = false;
                 return Solution::status_only(Status::Infeasible);
             }
             // A deadline stop must not restart from scratch — that
@@ -457,6 +488,7 @@ impl RevisedWorkspace {
     fn solve_cold_inner(&mut self, model: &Model, options: &SimplexOptions) -> Solution {
         self.stats = SolveStats::default();
         self.warm_ready = false;
+        self.factor_fresh = false;
         self.pricing = effective_pricing(model, options);
         self.dual_pricing = options.dual_pricing;
         self.presolved = effective_presolve(model, options);
@@ -774,7 +806,9 @@ impl RevisedWorkspace {
         self.stats.ftran = ftran_now.delta_since(self.io_entry.0);
         self.stats.btran = btran_now.delta_since(self.io_entry.1);
         self.stats.max_eta_chain = self.stats.max_eta_chain.max(self.factor.updates());
-        if self.stats.warm == WarmStart::WarmHit && self.stats.refactorisations > 1 {
+        if self.stats.warm == WarmStart::WarmHit
+            && self.stats.refactor_scheduled + self.stats.refactor_ft_refused > 0
+        {
             self.stats.warm = WarmStart::WarmRefactor;
         }
         if self.presolved {
@@ -945,7 +979,20 @@ impl RevisedWorkspace {
     /// Besides `Status::Optimal`, this also serves budget stops at a
     /// primal-feasible basis, where the point is feasible but not
     /// proven optimal.
+    ///
+    /// When pivots or bound flips moved the basis since the basic values
+    /// were last recomputed, the basis is refactorised first and the
+    /// values read from the fresh factors. The point is then a function
+    /// of the final basis alone, not of the update path that reached it:
+    /// a zero-pivot warm re-solve of the same model returns it bit for
+    /// bit, and no Forrest–Tomlin drift reaches the caller.
     fn extract(&mut self, model: &Model, options: &SimplexOptions, status: Status) -> Solution {
+        if self.stats.iterations() != self.recomputed_at {
+            let _t = rp_obs::phase_timer(rp_obs::Phase::Factorise);
+            // A singular refactorisation leaves the updated values in
+            // place; the next warm entry refactorises (or goes cold).
+            self.refactor_and_recompute();
+        }
         let _t = rp_obs::phase_timer(rp_obs::Phase::Extract);
         let mut values = Vec::new();
         self.basis.extract_values(&self.form, &mut values);
@@ -1103,12 +1150,13 @@ impl RevisedWorkspace {
         self.stats.refactorisations += 1;
         let form = &self.form;
         let basic = &self.basis.basic;
-        self.factor.refactor(form.m, |k, rows, vals| {
+        self.factor_fresh = self.factor.refactor(form.m, |k, rows, vals| {
             form.for_each_entry(basic[k], |row, val| {
                 rows.push(row as u32);
                 vals.push(val);
             });
-        })
+        });
+        self.factor_fresh
     }
 
     /// Installs the slack basis with every structural column parked at
@@ -1150,11 +1198,18 @@ impl RevisedWorkspace {
         if !self.refactor() {
             return false;
         }
+        self.recompute_basic();
+        true
+    }
+
+    /// Recomputes the basic values from the residual right-hand side
+    /// through the current factorisation.
+    fn recompute_basic(&mut self) {
         self.basis.residual_rhs(&self.form, &mut self.residual);
         self.factor.ftran(&mut self.residual);
         self.basis.x_basic.clear();
         self.basis.x_basic.extend_from_slice(&self.residual);
-        true
+        self.recomputed_at = self.stats.iterations();
     }
 
     /// [`RevisedWorkspace::ftran_column`] through the hyper-sparse
@@ -1422,6 +1477,7 @@ impl RevisedWorkspace {
                     // Forrest–Tomlin update from the spike the FTRAN
                     // saved; a refused (numerically unsafe) update or a
                     // full update budget forces a refactorisation.
+                    self.factor_fresh = false;
                     let ft_ok = self.factor.update(row);
                     if ft_ok {
                         self.stats.max_eta_chain =
@@ -1672,6 +1728,7 @@ impl RevisedWorkspace {
                     self.dual_weights.iter_mut().for_each(|w| *w = 1.0);
                     self.stats.devex_resets += 1;
                 }
+                self.factor_fresh = false;
                 let ft_ok = self.factor.update(row);
                 if ft_ok {
                     self.stats.max_eta_chain = self.stats.max_eta_chain.max(self.factor.updates());
@@ -1995,6 +2052,95 @@ mod tests {
         let sol = ws.solve_warm(&m, &options);
         assert_eq!(sol.status, Status::Optimal);
         assert_close(sol.objective, 3.0);
+    }
+
+    /// A dense-ish covering LP with irregular coefficients, so a cold
+    /// solve takes many pivots and its Forrest–Tomlin updates carry
+    /// rounding, plus one `Σx ≤ cap` row whose right-hand side decides
+    /// feasibility (the rest of the model is the same for every `cap`).
+    fn irregular_cover_model(rows: usize, cols: usize, cap: f64) -> Model {
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut m = Model::minimize();
+        let vars: Vec<_> = (0..cols)
+            .map(|j| m.add_var(format!("x{j}"), 0.0, Some(10.0), 0.3 + next() * 2.7))
+            .collect();
+        for i in 0..rows {
+            let mut terms = Vec::new();
+            for &v in &vars {
+                if next() < 0.15 {
+                    terms.push((0.1 + next() * 1.9, v));
+                }
+            }
+            m.add_constraint(
+                format!("cover{i}"),
+                lin_sum(terms),
+                Cmp::Ge,
+                1.0 + next() * 4.0,
+            );
+        }
+        m.add_constraint("cap", lin_sum(vars.iter().map(|&v| (1.0, v))), Cmp::Le, cap);
+        m
+    }
+
+    #[test]
+    fn extracted_points_depend_only_on_the_final_basis() {
+        let m = irregular_cover_model(80, 120, 1e6);
+        let options = SimplexOptions::default();
+        let mut ws = RevisedWorkspace::new();
+        let cold = ws.solve_cold(&m, &options);
+        assert_eq!(cold.status, Status::Optimal);
+        assert!(ws.last_stats().iterations() > 20);
+        // A warm re-solve starts from the optimal basis, pivots zero
+        // times, and must hand back the very same point.
+        let warm = ws.solve_warm(&m, &options);
+        assert_eq!(warm.status, Status::Optimal);
+        assert_eq!(ws.last_stats().iterations(), 0);
+        assert_eq!(ws.last_stats().warm, WarmStart::WarmHit);
+        let bits = |s: &Solution| s.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&cold), bits(&warm));
+        assert_eq!(cold.objective.to_bits(), warm.objective.to_bits());
+    }
+
+    #[test]
+    fn a_warm_infeasible_verdict_keeps_the_stored_basis() {
+        let feasible = irregular_cover_model(80, 120, 1e6);
+        // Presolve off: its rhs-dependent row removals would send the
+        // tightened model down the cold path.
+        let options = SimplexOptions {
+            presolve: false,
+            ..SimplexOptions::default()
+        };
+        let mut ws = RevisedWorkspace::new();
+        let optimum = ws.solve_cold(&feasible, &options);
+        assert_eq!(optimum.status, Status::Optimal);
+        // Tighten the capacity row below what the covers need: the
+        // stored basis stays dual feasible, the dual cleanup pivots and
+        // then proves infeasibility.
+        let infeasible = irregular_cover_model(80, 120, 1.0);
+        assert_eq!(
+            ws.solve_warm(&infeasible, &options).status,
+            Status::Infeasible
+        );
+        let first = ws.last_stats();
+        assert_eq!(first.warm, WarmStart::WarmHit);
+        assert!(first.iterations() > 0);
+        // A re-solve repeats the verdict pivot for pivot...
+        assert_eq!(
+            ws.solve_warm(&infeasible, &options).status,
+            Status::Infeasible
+        );
+        assert_eq!(ws.last_stats().iterations(), first.iterations());
+        // ...and the feasible model still finds its optimal basis stored.
+        let again = ws.solve_warm(&feasible, &options);
+        assert_eq!(again.status, Status::Optimal);
+        assert_eq!(ws.last_stats().iterations(), 0);
+        assert_eq!(again.objective.to_bits(), optimum.objective.to_bits());
     }
 
     #[test]

@@ -82,8 +82,11 @@ pub(crate) fn push_trace_events(events: &mut Vec<TraceEvent>) {
     }
 }
 
-/// Number of events currently buffered.
+/// Number of events currently buffered. Flushes the calling thread's
+/// local buffer first, so the caller's own closed spans count; worker
+/// threads flush on exit, so call this after joins.
 pub fn trace_event_count() -> usize {
+    crate::span::flush_thread_trace();
     lock_trace().len()
 }
 
